@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <utility>
 
 namespace uguide {
@@ -35,8 +36,7 @@ void ThreadPool::WorkerMain() {
     {
       std::unique_lock<std::mutex> lock(mu_);
       ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      // Drain the queue even when stopping: ParallelFor joins depend on
-      // every submitted task eventually running.
+      // Drain the queue even when stopping: every submitted task runs.
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
@@ -80,9 +80,10 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     return;
   }
 
-  // Fork/join state lives on the caller's stack: the join below guarantees
-  // every helper task has finished (and released `mu`) before it goes out
-  // of scope.
+  // Fork/join state is shared with the helper tasks: a helper may start
+  // after this call has returned (its worker was busy), so it must find
+  // the state alive. Such a late helper sees `closed` and leaves without
+  // touching `fn`, which lives on the caller's stack.
   struct ForState {
     std::atomic<size_t> next{0};
     size_t n = 0;
@@ -90,22 +91,25 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     const std::function<void(size_t)>* fn = nullptr;
     std::mutex mu;
     std::condition_variable done;
-    int pending = 0;
+    /// Helpers that entered the loop before the caller closed it (guarded
+    /// by mu). The join waits for these only.
+    int active = 0;
+    /// Set by the caller once it has run out of chunks (guarded by mu):
+    /// from then on no helper may enter.
+    bool closed = false;
     /// Set when any strand throws: remaining strands stop claiming chunks.
     std::atomic<bool> cancelled{false};
     /// First exception thrown by any strand (guarded by mu).
     std::exception_ptr error;
   };
-  ForState state;
-  state.n = n;
-  state.fn = &fn;
+  auto state = std::make_shared<ForState>();
+  state->n = n;
+  state->fn = &fn;
   const size_t strands = std::min(workers_.size() + 1, n);
   // Chunked dynamic claiming: big enough to amortize the atomic, small
   // enough to balance skewed per-iteration cost (partition products vary
   // wildly in size).
-  state.chunk = std::max<size_t>(1, n / (strands * 8));
-  const int helpers = static_cast<int>(strands) - 1;
-  state.pending = helpers;
+  state->chunk = std::max<size_t>(1, n / (strands * 8));
 
   auto drain = [](ForState* s) {
     size_t start;
@@ -118,36 +122,43 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
       for (size_t i = start; i < end; ++i) (*s->fn)(i);
     }
   };
-  // A strand that throws records the first exception, cancels the claim
-  // loop, and still reports completion — the join below must always see
-  // every strand finish, or `state` would be destroyed under a live task.
+  // A strand that throws records the first exception and cancels the claim
+  // loop; it still counts as finished, so the join never waits on it.
   auto capture = [](ForState* s) {
     s->cancelled.store(true, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(s->mu);
     if (!s->error) s->error = std::current_exception();
   };
-  for (int h = 0; h < helpers; ++h) {
-    Submit([&state, drain, capture] {
-      try {
-        drain(&state);
-      } catch (...) {
-        capture(&state);
+  for (size_t h = 1; h < strands; ++h) {
+    Submit([state, drain, capture] {
+      {
+        std::lock_guard<std::mutex> lock(state->mu);
+        if (state->closed) return;
+        ++state->active;
       }
-      // Notify under the lock: the caller may only destroy `state` after
-      // this task released `mu`, which its join's wait() re-acquisition
-      // enforces.
-      std::lock_guard<std::mutex> lock(state.mu);
-      if (--state.pending == 0) state.done.notify_one();
+      try {
+        drain(state.get());
+      } catch (...) {
+        capture(state.get());
+      }
+      std::lock_guard<std::mutex> lock(state->mu);
+      if (--state->active == 0 && state->closed) state->done.notify_one();
     });
   }
   try {
-    drain(&state);
+    drain(state.get());
   } catch (...) {
-    capture(&state);
+    capture(state.get());
   }
-  std::unique_lock<std::mutex> lock(state.mu);
-  state.done.wait(lock, [&state] { return state.pending == 0; });
-  const std::exception_ptr error = state.error;
+  // Every chunk is claimed (or the loop was cancelled), so helpers still in
+  // the queue have nothing left to run: close the loop to them and join
+  // only the helpers already inside it. Waiting for queued helpers instead
+  // would deadlock whenever the workers are blocked on something the
+  // caller holds.
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->closed = true;
+  state->done.wait(lock, [&state] { return state->active == 0; });
+  const std::exception_ptr error = state->error;
   lock.unlock();
   if (error) std::rethrow_exception(error);
 }

@@ -66,9 +66,13 @@ class ThreadPool {
   /// on the caller in index order — the graceful serial fallback.
   ///
   /// Iterations are claimed dynamically in chunks, so `fn` must be safe to
-  /// call concurrently from several threads and must not itself call
-  /// ParallelFor on the same pool (no nested forks: a worker blocking on an
-  /// inner join could deadlock the outer one).
+  /// call concurrently from several threads. The join waits only for the
+  /// strands that entered the loop: once the caller has claimed the last
+  /// chunk, helper tasks still queued behind busy workers are abandoned
+  /// (they run later as no-ops and never call `fn`). A caller may therefore
+  /// fork while holding a lock the workers are blocked on, and `fn` may
+  /// itself call ParallelFor on the same pool; either way the loop
+  /// completes on the calling thread, serially at worst.
   ///
   /// If fn throws, the loop is cancelled at chunk granularity (some
   /// iterations may never run), every strand is joined, and the first

@@ -20,9 +20,6 @@
 ///   SessionReport report = session.Run(*strategy);
 ///   std::cout << report.metrics.ToString() << "\n";
 
-#include "cfd/cfd.h"
-#include "cfd/cfd_discovery.h"
-#include "cfd/tableau.h"
 #include "common/attribute_set.h"
 #include "common/csv.h"
 #include "common/fault_injection.h"

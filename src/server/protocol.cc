@@ -659,19 +659,13 @@ Result<ServerFrame> ParseServerFrame(std::string_view line) {
   }
   if (type == "error") {
     frame.type = ServerFrameType::kError;
-    // `code` is the machine-readable slug; numbers are accepted too (the
-    // pre-slug wire form carried the numeric status there).
-    const JsonValue* code = root.Get("code");
-    if (code != nullptr) {
-      if (code->is_string()) {
-        frame.error_code = code->string_value();
-      } else if (code->is_number()) {
-        UGUIDE_ASSIGN_OR_RETURN(frame.code, root.GetInt("code", 0));
-      } else {
-        return Malformed("code must be a string or number");
-      }
+    // `code` is the machine-readable slug and `status` the numeric
+    // StatusCode; the daemon always sends both.
+    UGUIDE_ASSIGN_OR_RETURN(frame.error_code, root.GetString("code", true));
+    if (root.Get("status") == nullptr) {
+      return Malformed("missing field: status");
     }
-    UGUIDE_ASSIGN_OR_RETURN(frame.code, root.GetInt("status", frame.code));
+    UGUIDE_ASSIGN_OR_RETURN(frame.code, root.GetInt("status", 0));
     UGUIDE_ASSIGN_OR_RETURN(frame.retry_after_ms,
                             root.GetInt("retry_after_ms", -1));
     UGUIDE_ASSIGN_OR_RETURN(frame.message, root.GetString("message", false));

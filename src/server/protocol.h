@@ -49,8 +49,8 @@ namespace uguide {
 /// client can branch on ("overloaded", "rate_limited", "quarantined",
 /// "bad_frame", ...), and `status`, the numeric StatusCode. Refusals the
 /// client should retry additionally carry `retry_after_ms`. The parser
-/// also accepts the pre-slug wire form where `code` was the numeric
-/// status, so old peers and the checked-in fuzz corpus stay parseable.
+/// requires both fields and refuses an error frame whose `code` is not a
+/// string.
 ///
 /// Doubles that must survive the round trip bit-exactly (costs, budgets,
 /// report fields) travel as C hexfloat *strings*, the same convention the

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <fstream>
+#include <future>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -561,6 +565,50 @@ TEST(ThreadPoolTest, ParallelForSurfacesTaskException) {
   EXPECT_EQ(total.load(), 500);
 }
 
+TEST(ThreadPoolTest, ParallelForDoesNotWaitForHelpersQueuedBehindBusyWorkers) {
+  // Every worker is blocked until the test thread's fork has returned — the
+  // shape of a caller that forks while holding a lock the workers wait on.
+  // The join must not wait for the helper tasks queued behind them.
+  constexpr int kThreads = 4;
+  ThreadPool pool(kThreads);
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  bool released = false;
+  std::atomic<int> timed_out{0};
+  for (int w = 1; w < kThreads; ++w) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++started;
+      cv.notify_all();
+      if (!cv.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return released; })) {
+        timed_out.fetch_add(1);
+      }
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started == kThreads - 1; });
+  }
+  std::atomic<int> calls{0};
+  pool.ParallelFor(1000, [&](size_t) { calls.fetch_add(1); });
+  // Read before releasing: a join that waited for the queued helpers could
+  // only have returned after the workers' waits timed out.
+  const int timed_out_before_return = timed_out.load();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  EXPECT_EQ(calls.load(), 1000);
+  EXPECT_EQ(timed_out_before_return, 0);
+  // The abandoned helpers run later as no-ops; the pool stays usable.
+  std::atomic<int> total{0};
+  pool.ParallelFor(500, [&](size_t) { total.fetch_add(1); });
+  EXPECT_EQ(total.load(), 500);
+}
+
 TEST(ThreadPoolTest, InlineParallelForPropagatesException) {
   ThreadPool pool(1);
   EXPECT_THROW(pool.ParallelFor(
@@ -574,9 +622,11 @@ TEST(ThreadPoolTest, SubmitCapturesTaskException) {
   ThreadPool pool(2);
   EXPECT_EQ(pool.TakeSubmitError(), nullptr);
   pool.Submit([] { throw std::runtime_error("async boom"); });
-  // A ParallelFor is a full barrier over the workers, so the throwing task
-  // has definitely finished once it returns.
-  pool.ParallelFor(64, [](size_t) {});
+  // The single worker runs tasks in order and records a throw before it
+  // takes the next task, so once a later task has run the error is in.
+  std::promise<void> drained;
+  pool.Submit([&drained] { drained.set_value(); });
+  drained.get_future().wait();
   std::exception_ptr error = pool.TakeSubmitError();
   ASSERT_NE(error, nullptr);
   EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);

@@ -1,4 +1,4 @@
-// The durable-state contract of the v2 journal format: CRC32C framing
+// The durable-state contract of the journal format: CRC32C framing
 // makes torn-write salvage versus mid-file corruption a *deterministic*
 // classification (never a guess), disk faults surface as poisoned writers
 // instead of silent loss, and a crash at any byte leaves a journal that
@@ -17,6 +17,8 @@
 #include "common/crc32c.h"
 #include "common/fault_injection.h"
 #include "core/session_journal.h"
+#include "server/protocol.h"
+#include "server/session_manager.h"
 
 namespace uguide {
 namespace {
@@ -116,7 +118,6 @@ TEST_F(DurabilityTest, V2RoundTripWithEndMarker) {
   WriteFinishedJournal(path);
   Result<LoadedJournal> loaded = LoadJournal(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->version, 2);
   EXPECT_TRUE(loaded->header.Matches(TestHeader()));
   ASSERT_EQ(loaded->records.size(), 3u);
   EXPECT_TRUE(loaded->records[0] == CellRecord(1, 2, Answer::kYes, 3.0));
@@ -131,32 +132,46 @@ TEST_F(DurabilityTest, V2RoundTripWithEndMarker) {
   EXPECT_GT(loaded->resume_offset, 0u);
 }
 
-TEST_F(DurabilityTest, V1JournalStillLoadsAndResumesAsV1) {
-  const std::string path = ::testing::TempDir() + "/uguide_v1_compat.journal";
-  WriteFileOrDie(path,
-                 "uguide-journal v=1 strategy=test-strategy budget=0x1.8p+5 "
-                 "seed=7 votes=1 idk=0x0p+0 wrong=0x0p+0\n"
-                 "t 3 yes 0x1.ep+3\n");
+TEST_F(DurabilityTest, V1JournalIsRefusedAndQuarantinedAtBoot) {
+  // A file in the unsupported bare-line v=1 format must be refused with a
+  // structured status, and the boot scan must move it aside and count it
+  // rather than drop it silently.
+  const std::string dir = ::testing::TempDir() + "/uguide_v1_refused";
+  ::mkdir(dir.c_str(), 0755);
+  const std::string path = dir + "/old.journal";
+  const std::string quarantined = path + ".quarantined";
+  ::unlink(quarantined.c_str());
+  const std::string text =
+      "uguide-journal v=1 strategy=test-strategy budget=0x1.8p+5 "
+      "seed=7 votes=1 idk=0x0p+0 wrong=0x0p+0\n"
+      "t 3 yes 0x1.ep+3\n";
+  WriteFileOrDie(path, text);
   Result<LoadedJournal> loaded = LoadJournal(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->version, 1);
-  ASSERT_EQ(loaded->records.size(), 1u);
-  EXPECT_FALSE(loaded->finished);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("unsupported version v=1"),
+            std::string::npos)
+      << loaded.status().ToString();
+  Result<JournalHeader> peeked = PeekJournalHeader(path);
+  ASSERT_FALSE(peeked.ok());
+  EXPECT_EQ(peeked.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(peeked.status().message().find("unsupported version v=1"),
+            std::string::npos)
+      << peeked.status().ToString();
 
-  // A resume keeps writing v1 — the file stays homogeneous.
-  Result<JournalWriter> writer =
-      JournalWriter::Open(path, TestHeader(), /*resume=*/true);
-  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
-  EXPECT_EQ(writer->version(), 1);
-  ASSERT_TRUE(writer->Append(CellRecord(1, 1, Answer::kNo, 2.0)).ok());
-  // AppendEnd is a documented no-op on v1 (the format has no marker).
-  ASSERT_TRUE(writer->AppendEnd(2, 5.0).ok());
-  ASSERT_TRUE(writer->Close().ok());
-  loaded = LoadJournal(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->version, 1);
-  EXPECT_EQ(loaded->records.size(), 2u);
-  EXPECT_FALSE(loaded->finished);
+  SessionManagerOptions options;
+  options.journal_dir = dir;
+  // The boot scan runs in the constructor and needs no dataset.
+  SessionManager manager(nullptr, options);
+  EXPECT_EQ(manager.recovery_stats().quarantined, 1);
+  EXPECT_EQ(manager.recovery_stats().resumable, 0);
+  Result<ServerFrame> health =
+      ParseServerFrame(manager.HandleLine(R"({"op":"health"})").at(0));
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->health.journals_quarantined, 1);
+  EXPECT_NE(::access(path.c_str(), F_OK), 0);
+  EXPECT_EQ(ReadFileOrDie(quarantined), text);
+  ::unlink(quarantined.c_str());
 }
 
 // --- The torn-write matrix --------------------------------------------------
@@ -270,7 +285,7 @@ TEST_F(DurabilityTest, CorruptionAtEveryByteIsCaughtOrTorn) {
 
 TEST_F(DurabilityTest, RecordAfterEndMarkerIsDataLoss) {
   const std::string path = ::testing::TempDir() + "/uguide_after_end.journal";
-  std::string text = FormatJournalHeaderV2(TestHeader()) + "\n";
+  std::string text = FormatJournalHeader(TestHeader()) + "\n";
   text += FormatJournalFrame("t 3 yes 0x1.ep+3") + "\n";
   text += FormatJournalFrame("end 1 0x1.ep+3") + "\n";
   text += FormatJournalFrame("t 4 yes 0x1.ep+3") + "\n";
@@ -301,7 +316,6 @@ TEST_F(DurabilityTest, SalvageThenResumeTruncatesTornTail) {
   // Resume: the writer truncates to the last good record, then extends.
   JournalWriterOptions options;
   options.resume = true;
-  options.version = loaded->version;
   options.resume_offset = loaded->resume_offset;
   Result<JournalWriter> writer =
       JournalWriter::Open(path, TestHeader(), options);
@@ -455,7 +469,6 @@ TEST_F(DurabilityTest, TornWriteCrashSalvagesAndResumes) {
   // And the journal resumes: truncate the tear, finish the session.
   JournalWriterOptions options;
   options.resume = true;
-  options.version = loaded->version;
   options.resume_offset = loaded->resume_offset;
   Result<JournalWriter> writer =
       JournalWriter::Open(path, TestHeader(), options);

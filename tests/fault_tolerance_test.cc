@@ -173,6 +173,15 @@ TEST(JournalFormatTest, RecordsRoundTripExactly) {
   }
 }
 
+/// The identity of the hand-built journals below.
+JournalHeader TestJournalHeader() {
+  JournalHeader header;
+  header.strategy_name = "s";
+  header.budget = 32.0;
+  header.expert_seed = 1;
+  return header;
+}
+
 TEST(JournalFormatTest, HeaderRoundTripsExactly) {
   JournalHeader header;
   header.strategy_name = "FDQ-BMC";
@@ -182,7 +191,7 @@ TEST(JournalFormatTest, HeaderRoundTripsExactly) {
   header.idk_rate = 0.1;
   header.wrong_rate = 0.05;
   Result<JournalHeader> parsed =
-      ParseJournalHeader(FormatJournalHeader(header));
+      ParseJournalHeader(FormatJournalHeader(header), "test");
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed->Matches(header));
   header.budget += 1.0;
@@ -209,7 +218,7 @@ TEST(JournalFileTest, WriterProducesLoadableJournal) {
   record.cost = 15.0;
   {
     Result<JournalWriter> writer =
-        JournalWriter::Open(path, header, /*resume=*/false);
+        JournalWriter::Open(path, header, JournalWriterOptions());
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE(writer->Append(record).ok());
     ASSERT_TRUE(writer->Close().ok());
@@ -227,11 +236,10 @@ TEST(JournalFileTest, TornTailIsDroppedNotFatal) {
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    std::fputs("uguide-journal v=1 strategy=s budget=0x1p+5 seed=1 votes=1 "
-               "idk=0x0p+0 wrong=0x0p+0\n",
-               f);
-    std::fputs("t 3 yes 0x1.ep+3\n", f);
-    std::fputs("c 1 2 no 0x1p", f);  // torn mid-write: no newline
+    std::fputs((FormatJournalHeader(TestJournalHeader()) + "\n").c_str(), f);
+    std::fputs((FormatJournalFrame("t 3 yes 0x1.ep+3") + "\n").c_str(), f);
+    // Torn mid-write: a frame prefix, no newline.
+    std::fputs(FormatJournalFrame("c 1 2 no 0x1p+0").substr(0, 14).c_str(), f);
     std::fclose(f);
   }
   Result<LoadedJournal> loaded = LoadJournal(path);
@@ -245,15 +253,14 @@ TEST(JournalFileTest, MidFileCorruptionIsFatal) {
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    std::fputs("uguide-journal v=1 strategy=s budget=0x1p+5 seed=1 votes=1 "
-               "idk=0x0p+0 wrong=0x0p+0\n",
-               f);
+    std::fputs((FormatJournalHeader(TestJournalHeader()) + "\n").c_str(), f);
     std::fputs("garbage line\n", f);
-    std::fputs("t 3 yes 0x1.ep+3\n", f);
+    std::fputs((FormatJournalFrame("t 3 yes 0x1.ep+3") + "\n").c_str(), f);
     std::fclose(f);
   }
   Result<LoadedJournal> loaded = LoadJournal(path);
   EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(loaded.status().message().find("line 2"), std::string::npos)
       << loaded.status().message();
 }
@@ -298,30 +305,30 @@ TEST(JournalHeaderTest, ValidateNamesFirstMismatchingField) {
 }
 
 TEST(JournalParseTest, RejectsHostileRecords) {
-  const char* kHeader =
-      "uguide-journal v=1 strategy=s budget=0x1p+5 seed=1 votes=1 "
-      "idk=0x0p+0 wrong=0x0p+0\n";
+  const std::string header = FormatJournalHeader(TestJournalHeader()) + "\n";
   // Each of these once crashed (or DCHECK-aborted) the loader instead of
   // failing cleanly; they are also checked in under fuzz/corpus/journal.
+  // Framed with a correct length and CRC, they reach ParseJournalRecord.
   const char* kHostile[] = {
-      "c -2147483648 0 yes 0x0p+0\n",  // negation overflow in ParseInt
-      "f 0 99 yes 0x0p+0\n",           // rhs out of AttributeSet range
-      "c 1 9999999999 yes 0x0p+0\n",   // col overflows int
-      "t -5 yes 0x0p+0\n",             // negative row
-      "f zz 1 yes 0x0p+0\n",           // non-hex mask
+      "c -2147483648 0 yes 0x0p+0",  // negation overflow in ParseInt
+      "f 0 99 yes 0x0p+0",           // rhs out of AttributeSet range
+      "c 1 9999999999 yes 0x0p+0",   // col overflows int
+      "t -5 yes 0x0p+0",             // negative row
+      "f zz 1 yes 0x0p+0",           // non-hex mask
   };
-  for (const char* line : kHostile) {
-    const std::string text = std::string(kHeader) + line;
+  for (const char* payload : kHostile) {
+    EXPECT_FALSE(ParseJournalRecord(payload).ok()) << payload;
+    const std::string text = header + FormatJournalFrame(payload) + "\n";
+    // A terminated line is a completed write, so a bad record is in-place
+    // damage wherever it sits, never a torn tail.
     Result<LoadedJournal> loaded = ParseJournalText(text, "test");
-    // A lone malformed final record is indistinguishable from a torn tail
-    // (dropped, load succeeds); followed by a valid record it must fail.
-    const std::string mid = text + "t 3 yes 0x1p+0\n";
+    ASSERT_FALSE(loaded.ok()) << payload;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << payload;
+    const std::string mid =
+        text + FormatJournalFrame("t 3 yes 0x1p+0") + "\n";
     Result<LoadedJournal> strict = ParseJournalText(mid, "test");
-    EXPECT_FALSE(strict.ok()) << line;
-    if (loaded.ok()) {
-      EXPECT_TRUE(loaded->torn_tail) << line;
-      EXPECT_TRUE(loaded->records.empty()) << line;
-    }
+    ASSERT_FALSE(strict.ok()) << payload;
+    EXPECT_EQ(strict.status().code(), StatusCode::kDataLoss) << payload;
   }
 }
 

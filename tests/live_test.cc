@@ -403,12 +403,12 @@ TEST_F(LiveTest, JournalHeaderPinsContentHashAndDataVersion) {
 
   // Pre-live journals (both pins zero) must stay byte-identical: no
   // dhash/dver fields appear.
-  EXPECT_EQ(FormatJournalHeaderV2(header).find("dhash="), std::string::npos);
-  EXPECT_EQ(FormatJournalHeaderV2(header).find("dver="), std::string::npos);
+  EXPECT_EQ(FormatJournalHeader(header).find("dhash="), std::string::npos);
+  EXPECT_EQ(FormatJournalHeader(header).find("dver="), std::string::npos);
 
   header.content_hash = 0xdeadbeefcafe1234ull;
   header.data_version = 42;
-  const std::string line = FormatJournalHeaderV2(header);
+  const std::string line = FormatJournalHeader(header);
   EXPECT_NE(line.find("dhash="), std::string::npos);
   EXPECT_NE(line.find("dver=42"), std::string::npos);
 

@@ -190,6 +190,17 @@ TEST(ServerFrameTest, ErrorAndControlFramesRoundTrip) {
   EXPECT_EQ(ParseServerFrame(FormatPongFrame()).ValueOrDie().type,
             ServerFrameType::kPong);
   EXPECT_FALSE(ParseServerFrame("{\"type\":\"weird\"}").ok());
+
+  // Error frames carry a string slug and a numeric status, nothing else:
+  // the pre-slug form with a numeric `code` is refused, as is either field
+  // missing.
+  EXPECT_FALSE(ParseServerFrame(R"({"type":"error","id":"s1","code":10,)"
+                                R"("message":"daemon is draining"})")
+                   .ok());
+  EXPECT_FALSE(ParseServerFrame(R"({"type":"error","code":10,"status":10})")
+                   .ok());
+  EXPECT_FALSE(ParseServerFrame(R"({"type":"error","status":10})").ok());
+  EXPECT_FALSE(ParseServerFrame(R"({"type":"error","code":"draining"})").ok());
 }
 
 // --- Serving fixture --------------------------------------------------------
