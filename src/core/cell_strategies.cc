@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -29,7 +30,8 @@ struct CellRun {
                   : ViolationGraph::Build(*engine, *ctx.candidates, ctx.pool)),
         fd_conf(static_cast<size_t>(graph.NumFds()),
                 options.initial_confidence),
-        asked(static_cast<size_t>(graph.NumCells()), false) {}
+        asked(static_cast<size_t>(graph.NumCells()), false),
+        seen(static_cast<size_t>(graph.NumCells()), false) {}
 
   EngineRef engine;
   ViolationGraph graph;
@@ -53,6 +55,23 @@ struct CellRun {
            graph.ActiveDegreeOfCell(c) > 0;
   }
 
+  // Calls `fn(c)` once for every askable cell flagged by some FD of `fds`:
+  // the cells whose score an answer touching those FDs can move. A cell
+  // flagged by several of them is visited once (scores are O(degree)).
+  template <typename Fn>
+  void ForEachAskableCellOf(const std::vector<FdId>& fds, Fn&& fn) {
+    for (FdId f : fds) {
+      for (CellId c : graph.CellsOfFd(f)) {
+        if (seen[static_cast<size_t>(c)] || !Askable(c)) continue;
+        seen[static_cast<size_t>(c)] = true;
+        touched.push_back(c);
+        fn(c);
+      }
+    }
+    for (CellId c : touched) seen[static_cast<size_t>(c)] = false;
+    touched.clear();
+  }
+
   // Accepts surviving FDs whose confidence reached the absolute cut;
   // threshold 0 accepts every surviving FD.
   FdSet Accept(double threshold) const {
@@ -64,6 +83,11 @@ struct CellRun {
     });
     return accepted;
   }
+
+ private:
+  // Scratch of ForEachAskableCellOf; `seen` is all false between calls.
+  std::vector<bool> seen;
+  std::vector<CellId> touched;
 };
 
 // Applies the expert's answer to `c` with Algorithm 2's updates. Returns
@@ -125,6 +149,26 @@ class SelectionHeap {
     heap_.emplace(score, c);
   }
 
+  // Makes every entry of `c` stale until its next Update: NaN compares
+  // unequal to every score.
+  void Retire(CellId c) {
+    score_[static_cast<size_t>(c)] = std::numeric_limits<double>::quiet_NaN();
+  }
+
+  // Drops every entry, then reseeds from `fill`, which calls its argument
+  // as push(cell, score) once per candidate. One O(n) heapify, so a
+  // strategy that rescores everything at once does not leave the old
+  // entries piling up behind the new ones.
+  template <typename FillFn>
+  void Rebuild(const FillFn& fill) {
+    std::vector<Entry> entries;
+    fill([&](CellId c, double score) {
+      score_[static_cast<size_t>(c)] = score;
+      entries.emplace_back(score, c);
+    });
+    heap_ = Heap(std::greater<Entry>(), std::move(entries));
+  }
+
   // The askable cell with the minimal (score, id). Does not pop the
   // returned entry: asking marks the cell un-askable, which retires the
   // entry on the next call. Returns -1 when no candidate remains.
@@ -142,11 +186,12 @@ class SelectionHeap {
   }
 
  private:
+  using Entry = std::pair<double, CellId>;
+  using Heap =
+      std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>;
+
   std::vector<double> score_;
-  std::priority_queue<std::pair<double, CellId>,
-                      std::vector<std::pair<double, CellId>>,
-                      std::greater<std::pair<double, CellId>>>
-      heap_;
+  Heap heap_;
 };
 
 class CellQHittingSet : public Strategy {
@@ -178,10 +223,6 @@ class CellQHittingSet : public Strategy {
       if (run.Askable(c)) heap.Update(c, Score(run, c));
     });
     const auto askable = [&run](CellId c) { return run.Askable(c); };
-    // Scratch for per-answer rescoring: a cell adjacent to several touched
-    // FDs is rescored once, not once per FD (CellWeight is O(degree)).
-    std::vector<bool> seen(static_cast<size_t>(run.graph.NumCells()), false);
-    std::vector<CellId> touched;
     while (result.cost_spent + cost <= ctx.budget) {
       const CellId best = heap.Best(askable);
       if (best < 0) break;
@@ -191,16 +232,10 @@ class CellQHittingSet : public Strategy {
       // Only cells adjacent to a touched FD can change score: "yes" bumps
       // the flagging FDs' confidences, "no" removes them (and with them
       // degree). Everything else keeps its fresh heap entry.
-      for (FdId f : ApplyAnswer(run, best, answer, options_.delta)) {
-        for (CellId c : run.graph.CellsOfFd(f)) {
-          if (seen[static_cast<size_t>(c)] || !run.Askable(c)) continue;
-          seen[static_cast<size_t>(c)] = true;
-          touched.push_back(c);
-          heap.Update(c, Score(run, c));
-        }
-      }
-      for (CellId c : touched) seen[static_cast<size_t>(c)] = false;
-      touched.clear();
+      const std::vector<FdId> affected =
+          ApplyAnswer(run, best, answer, options_.delta);
+      run.ForEachAskableCellOf(
+          affected, [&](CellId c) { heap.Update(c, Score(run, c)); });
     }
     result.accepted_fds = run.Accept(options_.accept_threshold);
     return result;
@@ -267,8 +302,6 @@ class CellQGreedy : public Strategy {
       if (run.Askable(c)) heap.Update(c, Score(run, c));
     });
     const auto askable = [&run](CellId c) { return run.Askable(c); };
-    std::vector<bool> seen(static_cast<size_t>(run.graph.NumCells()), false);
-    std::vector<CellId> touched;
     while (result.cost_spent + cost <= ctx.budget) {
       const CellId best = heap.Best(askable);
       if (best < 0) break;
@@ -281,16 +314,8 @@ class CellQGreedy : public Strategy {
       // a "yes" changes confidences, never degrees, so every heap entry
       // stays exact and rescoring would push duplicates.
       if (answer != Answer::kNo) continue;
-      for (FdId f : affected) {
-        for (CellId c : run.graph.CellsOfFd(f)) {
-          if (seen[static_cast<size_t>(c)] || !run.Askable(c)) continue;
-          seen[static_cast<size_t>(c)] = true;
-          touched.push_back(c);
-          heap.Update(c, Score(run, c));
-        }
-      }
-      for (CellId c : touched) seen[static_cast<size_t>(c)] = false;
-      touched.clear();
+      run.ForEachAskableCellOf(
+          affected, [&](CellId c) { heap.Update(c, Score(run, c)); });
     }
     result.accepted_fds = run.Accept(options_.accept_threshold);
     return result;
@@ -443,13 +468,6 @@ class CellQSums : public Strategy {
     std::vector<bool> pinned(static_cast<size_t>(run.graph.NumCells()),
                              false);
     SumsState state(run.graph);
-    const auto estimate = [&] {
-      if (options_.incremental) {
-        EstimateConfidenceIncremental(run, cell_conf, pinned, state);
-      } else {
-        EstimateConfidenceReference(run, cell_conf, pinned);
-      }
-    };
 
     // Evidence confidence, separate from the Estimate-Confidence fixpoint
     // scores in run.fd_conf: acceptance follows the same confirmed-
@@ -457,31 +475,50 @@ class CellQSums : public Strategy {
     // question selection.
     std::vector<double> evidence(static_cast<size_t>(run.graph.NumFds()),
                                  options_.initial_confidence);
+    const auto score = [&](CellId c) {
+      return Score(run, cell_conf, evidence, c);
+    };
+
+    // Incremental selection: a lazy heap keyed on the negated score, so its
+    // minimal (key, id) is the maximal score with ties toward the lowest
+    // id -- the reference scan's first strict maximum. Negation is exact,
+    // and only scores > 0 enter, as the scan starts from best_score = 0.
+    // Every estimate() moves cell_conf and with it (potentially) every
+    // score, so it reseeds the whole heap; between estimates a score moves
+    // only with its flagging FDs' evidence or activity (see below).
+    SelectionHeap heap(run.graph.NumCells());
+    const auto estimate = [&] {
+      if (!options_.incremental) {
+        EstimateConfidenceReference(run, cell_conf, pinned);
+        return;
+      }
+      EstimateConfidenceIncremental(run, cell_conf, pinned, state);
+      heap.Rebuild([&](const auto& push) {
+        run.graph.ForEachActiveCell([&](CellId c) {
+          if (!run.Askable(c)) return;
+          const double s = score(c);
+          if (s > 0.0) push(c, -s);
+        });
+      });
+    };
+
     estimate();
     int answers_since_estimate = 0;
     while (result.cost_spent + cost <= ctx.budget) {
-      // Maximum information: confidence near 1/2 (the fixpoint is unsure),
-      // weighted by the *marginal* evidence the answer can add -- flagging
-      // FDs that are already confirmed contribute nothing, so the strategy
-      // moves on instead of re-confirming the same dependencies.
       CellId best = -1;
-      double best_score = 0.0;
-      run.graph.ForEachActiveCell([&](CellId c) {
-        if (!run.Askable(c)) return;
-        const double uncertainty =
-            1.0 - std::abs(2.0 * cell_conf[static_cast<size_t>(c)] - 1.0);
-        double marginal = 0.0;
-        for (FdId f : run.graph.FdsOfCell(c)) {
-          if (run.graph.FdActive(f)) {
-            marginal += 1.0 - evidence[static_cast<size_t>(f)];
+      if (options_.incremental) {
+        best = heap.Best([&run](CellId c) { return run.Askable(c); });
+      } else {
+        double best_score = 0.0;
+        run.graph.ForEachActiveCell([&](CellId c) {
+          if (!run.Askable(c)) return;
+          const double s = score(c);
+          if (s > best_score) {
+            best = c;
+            best_score = s;
           }
-        }
-        const double score = (0.05 + uncertainty) * marginal;
-        if (score > best_score) {
-          best = c;
-          best_score = score;
-        }
-      });
+        });
+      }
       if (best < 0) {
         // No confirmation can add evidence anymore; spend leftover budget
         // hunting false positives instead: ask the least trusted violation,
@@ -500,6 +537,9 @@ class CellQSums : public Strategy {
       result.cost_spent += cost;
       ++result.questions_asked;
       run.asked[static_cast<size_t>(best)] = true;
+      // FDs whose evidence moved ("yes") or that were deactivated ("no"):
+      // the only score inputs an answer changes, besides askability.
+      std::vector<FdId> affected;
       switch (answer) {
         case Answer::kYes:
           pinned[static_cast<size_t>(best)] = true;
@@ -509,19 +549,22 @@ class CellQSums : public Strategy {
           for (FdId f : run.graph.FdsOfCell(best)) {
             if (run.graph.FdActive(f)) {
               double& conf = evidence[static_cast<size_t>(f)];
-              conf = std::min(1.0, conf + options_.delta);
+              const double bumped = std::min(1.0, conf + options_.delta);
+              if (bumped != conf) {
+                conf = bumped;
+                affected.push_back(f);
+              }
             }
           }
           break;
         case Answer::kNo: {
-          std::vector<FdId> flagging;
           for (FdId f : run.graph.FdsOfCell(best)) {
-            if (run.graph.FdActive(f)) flagging.push_back(f);
+            if (run.graph.FdActive(f)) affected.push_back(f);
           }
-          for (FdId f : flagging) run.graph.DeactivateFd(f);
+          for (FdId f : affected) run.graph.DeactivateFd(f);
           run.graph.DeactivateCell(best);
           // Deactivated FDs drop to score 0 and leave their cells' sums.
-          for (FdId f : flagging) {
+          for (FdId f : affected) {
             state.fd_stale[static_cast<size_t>(f)] = 1;
             state.MarkCellsOfFd(run.graph, f);
           }
@@ -534,6 +577,15 @@ class CellQSums : public Strategy {
       if (++answers_since_estimate >= options_.sums_recompute_interval) {
         estimate();
         answers_since_estimate = 0;
+      } else if (options_.incremental) {
+        run.ForEachAskableCellOf(affected, [&](CellId c) {
+          const double s = score(c);
+          if (s > 0.0) {
+            heap.Update(c, -s);
+          } else {
+            heap.Retire(c);
+          }
+        });
       }
     }
 
@@ -551,6 +603,24 @@ class CellQSums : public Strategy {
   }
 
  private:
+  // Maximum information: confidence near 1/2 (the fixpoint is unsure),
+  // weighted by the *marginal* evidence the answer can add -- flagging
+  // FDs that are already confirmed contribute nothing, so the strategy
+  // moves on instead of re-confirming the same dependencies. Shared by
+  // both selection arms, so their scores are bitwise equal.
+  static double Score(const CellRun& run, const std::vector<double>& cell_conf,
+                      const std::vector<double>& evidence, CellId c) {
+    const double uncertainty =
+        1.0 - std::abs(2.0 * cell_conf[static_cast<size_t>(c)] - 1.0);
+    double marginal = 0.0;
+    for (FdId f : run.graph.FdsOfCell(c)) {
+      if (run.graph.FdActive(f)) {
+        marginal += 1.0 - evidence[static_cast<size_t>(f)];
+      }
+    }
+    return (0.05 + uncertainty) * marginal;
+  }
+
   // Algorithm 4: alternate confidence propagation between FDs and
   // violations until convergence. FD confidence = log-boosted average of
   // its violations' confidences; violation confidence = sum of its FDs'

@@ -1,23 +1,27 @@
 #include "core/metrics.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 #include "violations/violation_engine.h"
 
 namespace uguide {
 
+namespace {
+
+// The union of the accepted FDs' violating cells, one bit per cell of the
+// engine's relation.
+CellBitmap DetectionBitmap(ViolationEngine& engine, const FdSet& accepted) {
+  const Relation& relation = engine.relation();
+  CellBitmap seen(relation.NumRows(), relation.NumAttributes());
+  for (const Fd& fd : accepted) {
+    for (const Cell& cell : engine.ViolatingCells(fd)) seen.Insert(cell);
+  }
+  return seen;
+}
+
+}  // namespace
+
 std::vector<Cell> AllDetections(ViolationEngine& engine,
                                 const FdSet& accepted) {
-  std::unordered_set<Cell, CellHash> seen;
-  for (const Fd& fd : accepted) {
-    for (const Cell& cell : engine.ViolatingCells(fd)) {
-      seen.insert(cell);
-    }
-  }
-  std::vector<Cell> out(seen.begin(), seen.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  return DetectionBitmap(engine, accepted).ToVector();
 }
 
 std::vector<Cell> AllDetections(const Relation& dirty,
@@ -42,9 +46,8 @@ DetectionMetrics EvaluateDetections(ViolationEngine& engine,
   metrics.total_true_errors = true_violations.Size();
   if (injected != nullptr) metrics.total_injected = injected->NumChanged();
 
-  const std::vector<Cell> detections = AllDetections(engine, accepted);
-  metrics.detections = detections.size();
-  for (const Cell& cell : detections) {
+  DetectionBitmap(engine, accepted).ForEach([&](const Cell& cell) {
+    ++metrics.detections;
     if (true_violations.Contains(cell)) {
       ++metrics.true_positives;
     } else {
@@ -53,7 +56,7 @@ DetectionMetrics EvaluateDetections(ViolationEngine& engine,
     if (injected != nullptr && injected->IsChanged(cell)) {
       ++metrics.injected_detected;
     }
-  }
+  });
   metrics.false_negatives = metrics.total_true_errors - metrics.true_positives;
   return metrics;
 }

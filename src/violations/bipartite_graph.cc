@@ -17,15 +17,6 @@ size_t NextPow2(size_t n) {
   return p;
 }
 
-std::vector<uint64_t> AllOnesBitmap(size_t n) {
-  std::vector<uint64_t> words((n + 63) / 64, ~uint64_t{0});
-  // Keep bits past n zero: word scans must never yield phantom ids.
-  if (n % 64 != 0 && !words.empty()) {
-    words.back() = (uint64_t{1} << (n % 64)) - 1;
-  }
-  return words;
-}
-
 }  // namespace
 
 size_t ViolationGraph::ProbeSlot(const Cell& cell) const {
@@ -108,8 +99,8 @@ ViolationGraph ViolationGraph::Merge(
 
   // Active state: everything starts live; both degree counters start at
   // the full adjacency size.
-  g.fd_active_words_ = AllOnesBitmap(g.fds_.size());
-  g.cell_active_words_ = AllOnesBitmap(g.cells_.size());
+  g.fd_active_ = Bitmap(g.fds_.size(), true);
+  g.cell_active_ = Bitmap(g.cells_.size(), true);
   g.fd_active_degree_.resize(g.fds_.size());
   for (FdId f = 0; f < g.NumFds(); ++f) {
     g.fd_active_degree_[static_cast<size_t>(f)] =
@@ -200,7 +191,7 @@ ViolationGraph ViolationGraph::BuildReference(const Relation& relation,
 void ViolationGraph::DeactivateFd(FdId f) {
   Checked(f, NumFds());
   if (!FdActive(f)) return;
-  ClearBit(fd_active_words_, f);
+  fd_active_.Clear(static_cast<size_t>(f));
   // Cells orphaned by this removal are no longer violations of anything.
   // The cell-side degree is decremented unconditionally (it tracks active
   // *FDs*, and this FD was active); the cascade to DeactivateCell keeps
@@ -215,7 +206,7 @@ void ViolationGraph::DeactivateFd(FdId f) {
 void ViolationGraph::DeactivateCell(CellId c) {
   Checked(c, NumCells());
   if (!CellActive(c)) return;
-  ClearBit(cell_active_words_, c);
+  cell_active_.Clear(static_cast<size_t>(c));
   // Keep per-FD active-cell counts exact. A cell deactivates at most once
   // (guard above), so each adjacent FD is decremented exactly once per
   // cell. Inactive FDs are updated too — harmless, since their
@@ -248,8 +239,7 @@ size_t ViolationGraph::ApproxMemoryBytes() const {
          fd_cell_edges_.size() * sizeof(CellId) +
          cell_fd_offsets_.size() * sizeof(uint32_t) +
          cell_fd_edges_.size() * sizeof(FdId) +
-         (fd_active_words_.size() + cell_active_words_.size()) *
-             sizeof(uint64_t) +
+         fd_active_.MemoryBytes() + cell_active_.MemoryBytes() +
          (fd_active_degree_.size() + cell_active_degree_.size()) *
              sizeof(int) +
          index_slots_.size() * sizeof(CellId);

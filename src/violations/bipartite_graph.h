@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/bitmap.h"
 #include "common/span.h"
 #include "fd/fd.h"
 #include "relation/relation.h"
@@ -30,7 +31,7 @@ using CellId = int;
 /// The adjacency is frozen CSR (DESIGN.md §14): both directions are stored
 /// as one flat edge array plus an offset array, built once in the
 /// deterministic Merge step and immutable afterwards — only the active
-/// state mutates. Active flags live in uint64_t bitmap words so selection
+/// state mutates. Active flags live in Bitmaps (common/bitmap.h) so selection
 /// scans iterate set bits branch-free (ForEachActiveFd/ForEachActiveCell),
 /// and both per-cell and per-FD active degrees are maintained
 /// incrementally, making every hot query of the strategy loops O(1).
@@ -102,10 +103,10 @@ class ViolationGraph {
   }
 
   bool FdActive(FdId f) const {
-    return TestBit(fd_active_words_, Checked(f, NumFds()));
+    return fd_active_.Test(static_cast<size_t>(Checked(f, NumFds())));
   }
   bool CellActive(CellId c) const {
-    return TestBit(cell_active_words_, Checked(c, NumCells()));
+    return cell_active_.Test(static_cast<size_t>(Checked(c, NumCells())));
   }
 
   /// Number of *active* FDs flagging cell `c`. O(1): maintained
@@ -138,13 +139,13 @@ class ViolationGraph {
   /// late-session scans skip dead regions a word (64 ids) at a time.
   template <typename Fn>
   void ForEachActiveFd(Fn&& fn) const {
-    ForEachSetBit(fd_active_words_, fn);
+    fd_active_.ForEachSetBit([&](size_t f) { fn(static_cast<FdId>(f)); });
   }
 
   /// Calls `fn(CellId)` for every active cell, ascending.
   template <typename Fn>
   void ForEachActiveCell(Fn&& fn) const {
-    ForEachSetBit(cell_active_words_, fn);
+    cell_active_.ForEachSetBit([&](size_t c) { fn(static_cast<CellId>(c)); });
   }
 
   /// Looks up the node for `cell`; returns -1 when the cell is not a
@@ -176,28 +177,6 @@ class ViolationGraph {
     return i;
   }
 
-  static bool TestBit(const std::vector<uint64_t>& words, int i) {
-    return (words[static_cast<size_t>(i) >> 6] >>
-            (static_cast<size_t>(i) & 63)) &
-           1u;
-  }
-  static void ClearBit(std::vector<uint64_t>& words, int i) {
-    words[static_cast<size_t>(i) >> 6] &=
-        ~(uint64_t{1} << (static_cast<size_t>(i) & 63));
-  }
-
-  template <typename Fn>
-  static void ForEachSetBit(const std::vector<uint64_t>& words, Fn&& fn) {
-    for (size_t w = 0; w < words.size(); ++w) {
-      uint64_t bits = words[w];
-      while (bits != 0) {
-        const int b = __builtin_ctzll(bits);
-        fn(static_cast<int>(w * 64) + b);
-        bits &= bits - 1;
-      }
-    }
-  }
-
   /// Rebuilds the open-addressed cell index right-sized for cells_.
   void RebuildCellIndex();
   /// Probe slot for `cell`: its slot if interned, else the empty slot
@@ -213,10 +192,9 @@ class ViolationGraph {
   std::vector<CellId> fd_cell_edges_;
   std::vector<uint32_t> cell_fd_offsets_;
   std::vector<FdId> cell_fd_edges_;
-  /// Active bitmaps: bit i of word i/64 is node i's flag. Bits past the
-  /// node count stay zero so word scans never yield phantom ids.
-  std::vector<uint64_t> fd_active_words_;
-  std::vector<uint64_t> cell_active_words_;
+  /// Active flags: bit i is node i's.
+  Bitmap fd_active_;
+  Bitmap cell_active_;
   std::vector<int> fd_active_degree_;
   std::vector<int> cell_active_degree_;
   /// Open-addressed linear-probe cell lookup: power-of-two slot array of

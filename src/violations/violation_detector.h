@@ -1,9 +1,10 @@
 #ifndef UGUIDE_VIOLATIONS_VIOLATION_DETECTOR_H_
 #define UGUIDE_VIOLATIONS_VIOLATION_DETECTOR_H_
 
-#include <unordered_set>
+#include <cstddef>
 #include <vector>
 
+#include "common/bitmap.h"
 #include "fd/fd.h"
 #include "relation/relation.h"
 
@@ -43,6 +44,61 @@ bool HasViolations(const Relation& relation, const Fd& fd);
 std::vector<int> ViolationCountPerTuple(const Relation& relation,
                                         const FdSet& fds);
 
+/// \brief A dense set of cells over one relation's shape.
+///
+/// Cell (row, col) is bit `row * num_attributes + col` of a Bitmap, so
+/// membership and insertion are one word operation each, and a word scan
+/// visits members in row-major order (Cell::operator<) with no sort.
+class CellBitmap {
+ public:
+  CellBitmap() = default;
+  CellBitmap(TupleId num_rows, int num_attributes)
+      : bits_(static_cast<size_t>(num_rows) *
+              static_cast<size_t>(num_attributes)),
+        num_rows_(num_rows),
+        num_attributes_(num_attributes) {}
+
+  /// False for any cell outside the relation's shape.
+  bool Contains(const Cell& cell) const {
+    return cell.row >= 0 && cell.row < num_rows_ && cell.col >= 0 &&
+           cell.col < num_attributes_ && bits_.Test(Index(cell));
+  }
+
+  /// Adds an in-shape cell; returns true iff it was not yet a member.
+  bool Insert(const Cell& cell) {
+    UGUIDE_DCHECK(cell.row >= 0 && cell.row < num_rows_ && cell.col >= 0 &&
+                  cell.col < num_attributes_);
+    return bits_.TestAndSet(Index(cell));
+  }
+
+  /// Calls `fn(const Cell&)` for every member, in row-major order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    const size_t width = static_cast<size_t>(num_attributes_);
+    bits_.ForEachSetBit([&](size_t i) {
+      fn(Cell{static_cast<TupleId>(i / width), static_cast<int>(i % width)});
+    });
+  }
+
+  /// Every member, in row-major order.
+  std::vector<Cell> ToVector() const {
+    std::vector<Cell> out;
+    ForEach([&](const Cell& cell) { out.push_back(cell); });
+    return out;
+  }
+
+ private:
+  size_t Index(const Cell& cell) const {
+    const size_t row = static_cast<size_t>(cell.row);
+    const size_t col = static_cast<size_t>(cell.col);
+    return row * static_cast<size_t>(num_attributes_) + col;
+  }
+
+  Bitmap bits_;
+  TupleId num_rows_ = 0;
+  int num_attributes_ = 0;
+};
+
 /// \brief The set E of cells violating at least one FD of `fds` on
 /// `relation`.
 ///
@@ -60,7 +116,7 @@ class TrueViolationSet {
   /// cache) instead of re-grouping per FD.
   static TrueViolationSet Compute(ViolationEngine& engine, const FdSet& fds);
 
-  bool Contains(const Cell& cell) const { return cells_.contains(cell); }
+  bool Contains(const Cell& cell) const { return cells_.Contains(cell); }
 
   /// True iff any cell of `row` is a violation. O(1): answered from a
   /// per-row bitmap built once in Compute instead of probing the cell set
@@ -70,13 +126,14 @@ class TrueViolationSet {
   /// count, so it no longer participates in the lookup.
   bool TupleViolates(TupleId row, int num_attributes) const;
 
-  size_t Size() const { return cells_.size(); }
+  size_t Size() const { return size_; }
 
   /// All violating cells in row-major order.
-  std::vector<Cell> ToVector() const;
+  std::vector<Cell> ToVector() const { return cells_.ToVector(); }
 
  private:
-  std::unordered_set<Cell, CellHash> cells_;
+  CellBitmap cells_;
+  size_t size_ = 0;
   /// row_violates_[r] == true iff some cell of row r is in cells_.
   std::vector<bool> row_violates_;
 };

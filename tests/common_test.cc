@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/attribute_set.h"
+#include "common/bitmap.h"
 #include "common/csv.h"
 #include "common/hash.h"
 #include "common/result.h"
@@ -91,6 +92,31 @@ TEST(ResultTest, MoveOutValue) {
 }
 
 // --- AttributeSet -----------------------------------------------------------
+
+TEST(BitmapTest, AllSetNeverYieldsIdsPastSize) {
+  for (size_t size : {0u, 1u, 63u, 64u, 65u, 130u}) {
+    SCOPED_TRACE(size);
+    Bitmap bits(size, true);
+    std::vector<size_t> seen;
+    bits.ForEachSetBit([&](size_t i) { seen.push_back(i); });
+    ASSERT_EQ(seen.size(), size);
+    for (size_t i = 0; i < size; ++i) EXPECT_EQ(seen[i], i);
+  }
+}
+
+TEST(BitmapTest, TestAndSetAndClear) {
+  Bitmap bits(100);
+  EXPECT_FALSE(bits.Test(70));
+  EXPECT_TRUE(bits.TestAndSet(70));
+  EXPECT_FALSE(bits.TestAndSet(70));
+  bits.TestAndSet(3);
+  bits.TestAndSet(99);
+  bits.Clear(70);
+  std::vector<size_t> seen;
+  bits.ForEachSetBit([&](size_t i) { seen.push_back(i); });
+  EXPECT_EQ(seen, (std::vector<size_t>{3, 99}));
+  EXPECT_EQ(bits.MemoryBytes(), 2 * sizeof(uint64_t));
+}
 
 TEST(AttributeSetTest, EmptyByDefault) {
   AttributeSet s;

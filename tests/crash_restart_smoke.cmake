@@ -101,10 +101,21 @@ for cycle in $(seq 1 "$cycles"); do
     exit 1
   fi
   # Every restart must have run the recovery scan over the journal dir.
-  if ! grep -q "uguided: recovery." "daemon.$cycle.log"; then
+  # A slow (e.g. sanitized) daemon can still be booting after the 0.4 s
+  # above, so poll its log for the line up to a 30 s deadline instead of
+  # reading it once; a restart that never prints it still fails.
+  recovered=0
+  for _ in $(seq 1 300); do
+    if grep -q "uguided: recovery." "daemon.$cycle.log"; then
+      recovered=1
+      break
+    fi
+    sleep 0.1
+  done
+  if [ "$recovered" -ne 1 ]; then
     echo "crash_restart_smoke: restart $cycle skipped recovery" >&2
     cat "daemon.$cycle.log" >&2
-    kill "$loadgen_pid" 2>/dev/null
+    kill "$loadgen_pid" "$daemon_pid" 2>/dev/null
     exit 1
   fi
   # All kills delivered while work remains is the interesting case; once

@@ -1,12 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
+#include "common/crc32c.h"
 #include "core/cell_strategies.h"
 #include "core/fd_strategies.h"
 #include "core/metrics.h"
 #include "core/session.h"
+#include "core/session_state.h"
 #include "core/tuple_strategies.h"
 #include "fd/closure.h"
+#include "server/protocol.h"
 #include "test_util.h"
+#include "violations/violation_engine.h"
 
 namespace uguide {
 namespace {
@@ -60,6 +70,69 @@ TEST(MetricsTest, AllDetectionsDeduplicates) {
   for (size_t i = 1; i < cells.size(); ++i) {
     EXPECT_TRUE(cells[i - 1] < cells[i]);
   }
+}
+
+TEST(MetricsTest, AllDetectionsMatchesHashSetUnion) {
+  // The deduplicated union, built the straightforward way: every accepted
+  // FD's cells into a hash set, then sorted row-major. 401 rows x 16
+  // attributes is not a multiple of 64, so the last bitmap word is partial.
+  Session session = MakeHospitalSession(401);
+  const Relation& dirty = session.dirty();
+  const size_t num_cells =
+      static_cast<size_t>(dirty.NumRows()) * dirty.NumAttributes();
+  ASSERT_NE(num_cells % 64, 0u);
+  // Empty-LHS FDs flag every cell of any column holding two values; on
+  // this table that is every cell.
+  FdSet everything;
+  for (int a = 0; a < dirty.NumAttributes(); ++a) {
+    everything.Add(Fd(AttributeSet(), a));
+  }
+  ViolationEngine engine(&dirty);
+  const std::vector<const FdSet*> fd_sets = {
+      &session.true_fds(), &session.candidates(), &everything};
+  for (const FdSet* fds : fd_sets) {
+    std::unordered_set<Cell, CellHash> seen;
+    for (const Fd& fd : *fds) {
+      for (const Cell& cell : engine.ViolatingCells(fd)) seen.insert(cell);
+    }
+    std::vector<Cell> expected(seen.begin(), seen.end());
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(AllDetections(dirty, *fds), expected);
+    EXPECT_EQ(AllDetections(engine, *fds), expected);
+  }
+  EXPECT_EQ(AllDetections(engine, everything).size(), num_cells);
+}
+
+TEST(GoldenReportTest, EveryStrategyMatchesPinnedDigest) {
+  // CRC-32C of SerializeSessionReport for every strategy on one small,
+  // fixed session. FD strategies and the metrics block have no rescan
+  // reference arm, so these pins are what keeps a faster selection or
+  // evaluation loop byte-identical to the original one.
+  Session session = MakeHospitalSession(400, ErrorModel::kSystematic,
+                                        /*error_rate=*/0.15, /*seed=*/5,
+                                        /*idk_rate=*/0.1);
+  const std::string pinned =
+      "CellQ-HS d3e32174\n"
+      "CellQ-Greedy 94082112\n"
+      "CellQ-SUMS 7e9c2109\n"
+      "CellQ-Oracle bda2f30a\n"
+      "FDQ-BMC 06b326fe\n"
+      "FDQ-Greedy 2ad85ebe\n"
+      "FDQ-Oracle 074c0f29\n"
+      "Sampling-Uniform 224e7a0a\n"
+      "Sampling-Violation 63d0a3ed\n"
+      "Sampling-Saturation a174e481\n"
+      "TupleQ-Oracle def13944\n";
+  std::string digests;
+  for (const std::string& name : KnownStrategyNames()) {
+    auto strategy = MakeStrategyByName(name).ValueOrDie();
+    const std::string report =
+        SerializeSessionReport(session.Run(*strategy, 60.0));
+    char digest[16];
+    std::snprintf(digest, sizeof(digest), "%08x", Crc32c(report));
+    digests += name + " " + digest + "\n";
+  }
+  EXPECT_EQ(digests, pinned);
 }
 
 TEST(MetricsTest, ToStringMentionsCounts) {

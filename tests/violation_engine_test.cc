@@ -370,6 +370,29 @@ TEST(IncrementalSelectionTest, SumsMatchesReferenceAtTightRecompute) {
   ExpectReportsEqual(session.Run(*a, 150.0), session.Run(*b, 150.0));
 }
 
+TEST(IncrementalSelectionTest, SumsMatchesReferenceUntilEveryCellIsAsked) {
+  // A budget no session can spend: the run only ends when no askable cell
+  // is left, so evidence saturates, selection falls back to the
+  // lowest-confidence scan, and both arms drain the graph to the end. The
+  // session is small so the rescan arm can drain it quickly.
+  const double budget = 1e9;
+  for (double idk : {0.0, 0.25}) {
+    SCOPED_TRACE(idk);
+    Session session = testing::MakeHospitalSession(
+        200, ErrorModel::kSystematic, 0.15, 5, idk);
+    CellStrategyOptions incremental;
+    incremental.incremental = true;
+    CellStrategyOptions reference;
+    reference.incremental = false;
+    auto a = MakeCellQSums(incremental);
+    auto b = MakeCellQSums(reference);
+    const SessionReport heap = session.Run(*a, budget);
+    ExpectReportsEqual(heap, session.Run(*b, budget));
+    EXPECT_GT(heap.result.questions_asked, 0);
+    EXPECT_LT(heap.result.cost_spent, budget);
+  }
+}
+
 TEST(SessionDeterminismTest, ThreadCountDoesNotChangeAnyStrategy) {
   auto make_session = [](int threads) {
     DataGenOptions data;
