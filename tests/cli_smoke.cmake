@@ -3,10 +3,15 @@
 # with a one-line error plus usage on stderr (never an abort, never a
 # silent default), and good usage exits 0 with the expected report.
 #
-# Inputs: -DUGUIDE_CLI=<binary> -DWORK_DIR=<scratch dir>
+# The daemon and the load generator parse flags with the same code
+# (tools/flags.h); a few of their usage errors are checked here too.
+#
+# Inputs: -DUGUIDE_CLI=<binary> -DUGUIDED=<binary> -DLOADGEN=<binary>
+#         -DWORK_DIR=<scratch dir>
 
-if(NOT UGUIDE_CLI OR NOT WORK_DIR)
-  message(FATAL_ERROR "cli_smoke: UGUIDE_CLI and WORK_DIR are required")
+if(NOT UGUIDE_CLI OR NOT UGUIDED OR NOT LOADGEN OR NOT WORK_DIR)
+  message(FATAL_ERROR
+          "cli_smoke: UGUIDE_CLI, UGUIDED, LOADGEN and WORK_DIR are required")
 endif()
 
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -28,9 +33,11 @@ set(FAILURES 0)
 
 # run(<name> <expected-exit> <must-match-regex> <stream> <args...>)
 #   stream is OUT or ERR: which stream the regex must match against.
+#   Runs ${TOOL}, the CLI unless a section below switches it.
+set(TOOL "${UGUIDE_CLI}")
 function(run name expected_exit pattern stream)
   execute_process(
-    COMMAND "${UGUIDE_CLI}" ${ARGN}
+    COMMAND "${TOOL}" ${ARGN}
     WORKING_DIRECTORY "${WORK_DIR}"
     RESULT_VARIABLE exit_code
     OUTPUT_VARIABLE out
@@ -75,6 +82,22 @@ run(out_of_range_error_rate 2 "invalid value '1.5' for --error-rate" ERR
     session data.csv --error-rate=1.5)
 run(negative_threads 2 "invalid value '-1' for --threads" ERR
     profile data.csv --threads=-1)
+run(negative_seed 2 "uguide: invalid value '-1' for --seed" ERR
+    session data.csv --seed=-1)
+
+# -- The same parser in the daemon and the load generator: a sign is refused,
+# not wrapped to 2^64-1. ------------------------------------------------------
+set(TOOL "${UGUIDED}")
+run(daemon_negative_seed 2 "uguided: invalid value '-1' for --seed" ERR
+    --seed=-1)
+run(daemon_nan_tick 2 "uguided: invalid value 'nan' for --tick-ms" ERR
+    --tick-ms=nan)
+set(TOOL "${LOADGEN}")
+run(loadgen_negative_seed 2 "uguide_loadgen: invalid value '-1' for --seed"
+    ERR --port=1 --seed=-1)
+run(loadgen_plus_chaos_seed 2 "invalid value '\\+3' for --chaos-seed" ERR
+    --port=1 --chaos-seed=+3)
+set(TOOL "${UGUIDE_CLI}")
 
 # -- Happy paths. ------------------------------------------------------------
 run(profile_ok 0 "minimal" OUT profile data.csv --max-lhs=2)

@@ -5,20 +5,18 @@
 // is observable byte-for-byte.
 
 #include <gtest/gtest.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "server/line_client.h"
 #include "server/reactor.h"
 
 namespace uguide {
@@ -69,82 +67,23 @@ TEST(LineBufferTest, BoundsUnextractedBytes) {
 
 // --- Reactor end-to-end -----------------------------------------------------
 
-// Minimal blocking client against the reactor's loopback port.
-class TestClient {
- public:
-  ~TestClient() { Close(); }
-
-  bool Connect(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return true;
+// Each byte in its own send(): the worst framing a peer can produce.
+bool WriteByByte(LineClient& client, const std::string& bytes) {
+  for (char c : bytes) {
+    if (::send(client.fd(), &c, 1, MSG_NOSIGNAL) != 1) return false;
   }
+  return true;
+}
 
-  bool Write(const std::string& bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) return false;
-      sent += static_cast<size_t>(n);
-    }
-    return true;
+// Drains until EOF; true when the peer closed the connection.
+bool ReadUntilClosed(LineClient& client) {
+  char chunk[4096];
+  while (true) {
+    const ssize_t n = ::recv(client.fd(), chunk, sizeof(chunk), 0);
+    if (n == 0) return true;
+    if (n < 0) return errno == ECONNRESET;
   }
-
-  // Each byte in its own send(): the worst framing a peer can produce.
-  bool WriteByByte(const std::string& bytes) {
-    for (char c : bytes) {
-      if (::send(fd_, &c, 1, MSG_NOSIGNAL) != 1) return false;
-    }
-    return true;
-  }
-
-  std::optional<std::string> ReadLine() {
-    while (true) {
-      const size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return std::nullopt;
-      buffer_.append(chunk, static_cast<size_t>(n));
-    }
-  }
-
-  // Drains until EOF; true when the peer closed the connection.
-  bool ReadUntilClosed() {
-    char chunk[4096];
-    while (true) {
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n == 0) return true;
-      if (n < 0) return errno == ECONNRESET;
-    }
-  }
-
-  void Close() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-    buffer_.clear();
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
+}
 
 ReactorOptions EchoOptions(ThreadPool* pool = nullptr) {
   ReactorOptions options;
@@ -158,9 +97,9 @@ ReactorOptions EchoOptions(ThreadPool* pool = nullptr) {
 
 TEST(ReactorTest, EchoesOneByteAtATimeClient) {
   auto reactor = Reactor::Start(EchoOptions()).ValueOrDie();
-  TestClient client;
+  LineClient client;
   ASSERT_TRUE(client.Connect(reactor->port()));
-  ASSERT_TRUE(client.WriteByByte("hello\nworld\r\n"));
+  ASSERT_TRUE(WriteByByte(client, "hello\nworld\r\n"));
   EXPECT_EQ(client.ReadLine(), "echo:hello");
   EXPECT_EQ(client.ReadLine(), "echo:world");
   reactor->Shutdown();
@@ -171,11 +110,11 @@ TEST(ReactorTest, PreservesOrderAcrossPipelinedLinesAndPool) {
   // FIFO must still hold for a burst of pipelined requests.
   ThreadPool pool(3);
   auto reactor = Reactor::Start(EchoOptions(&pool)).ValueOrDie();
-  TestClient client;
+  LineClient client;
   ASSERT_TRUE(client.Connect(reactor->port()));
   std::string burst;
   for (int i = 0; i < 200; ++i) burst += "line" + std::to_string(i) + "\n";
-  ASSERT_TRUE(client.Write(burst));
+  ASSERT_TRUE(client.WriteRaw(burst));
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(client.ReadLine(), "echo:line" + std::to_string(i));
   }
@@ -193,12 +132,12 @@ TEST(ReactorTest, ShortWritesDrainThroughEpollout) {
     return std::vector<std::string>{std::string(line) + ":" + padding};
   };
   auto reactor = Reactor::Start(options).ValueOrDie();
-  TestClient client;
+  LineClient client;
   ASSERT_TRUE(client.Connect(reactor->port()));
   constexpr int kLines = 5000;  // ~500 KiB of replies, far over the buffers
   std::string burst;
   for (int i = 0; i < kLines; ++i) burst += std::to_string(i) + "\n";
-  ASSERT_TRUE(client.Write(burst));
+  ASSERT_TRUE(client.WriteRaw(burst));
   for (int i = 0; i < kLines; ++i) {
     ASSERT_EQ(client.ReadLine(), std::to_string(i) + ":" + padding) << i;
   }
@@ -210,25 +149,25 @@ TEST(ReactorTest, RefusesConnectionsOverTheCap) {
   options.max_connections = 1;
   auto reactor = Reactor::Start(options).ValueOrDie();
 
-  TestClient first;
+  LineClient first;
   ASSERT_TRUE(first.Connect(reactor->port()));
   // A full round-trip pins the first connection as registered.
-  ASSERT_TRUE(first.Write("hi\n"));
+  ASSERT_TRUE(first.WriteRaw("hi\n"));
   EXPECT_EQ(first.ReadLine(), "echo:hi");
 
-  TestClient second;
+  LineClient second;
   ASSERT_TRUE(second.Connect(reactor->port()));
-  EXPECT_TRUE(second.ReadUntilClosed());
+  EXPECT_TRUE(ReadUntilClosed(second));
   EXPECT_GE(reactor->stats().refused, 1);
   EXPECT_EQ(reactor->active_connections(), 1);
 
   // The slot frees once the first client leaves.
   first.Close();
-  TestClient third;
+  LineClient third;
   ASSERT_TRUE(third.Connect(reactor->port()));
   bool served = false;
   for (int attempt = 0; attempt < 50 && !served; ++attempt) {
-    if (!third.Write("again\n")) {
+    if (!third.WriteRaw("again\n")) {
       third.Close();
       ASSERT_TRUE(third.Connect(reactor->port()));
       continue;
@@ -255,10 +194,10 @@ TEST(ReactorTest, ReapsSlowLorisHoldingAPartialLine) {
   options.read_idle_ms = 50.0;
   options.tick_interval_ms = 10.0;
   auto reactor = Reactor::Start(options).ValueOrDie();
-  TestClient client;
+  LineClient client;
   ASSERT_TRUE(client.Connect(reactor->port()));
-  ASSERT_TRUE(client.Write("{\"op\":\"op"));  // no newline, ever
-  EXPECT_TRUE(client.ReadUntilClosed());      // blocks until the reap
+  ASSERT_TRUE(client.WriteRaw("{\"op\":\"op"));  // no newline, ever
+  EXPECT_TRUE(ReadUntilClosed(client));      // blocks until the reap
   EXPECT_GE(reactor->stats().reaped_idle, 1);
   EXPECT_GE(reactor->stats().dropped, 1);
   EXPECT_GE(reactor->stats().ticks, 1);
@@ -277,12 +216,12 @@ TEST(ReactorTest, DropsSlowReaderOverThePendingOutputCap) {
   };
   options.max_pending_out_bytes = 16 << 10;
   auto reactor = Reactor::Start(options).ValueOrDie();
-  TestClient client;
+  LineClient client;
   ASSERT_TRUE(client.Connect(reactor->port()));
   std::string burst;
   for (int i = 0; i < 2000; ++i) burst += std::to_string(i) + "\n";
-  ASSERT_TRUE(client.Write(burst));  // ~2 MiB of replies, 16 KiB allowed
-  EXPECT_TRUE(client.ReadUntilClosed());
+  ASSERT_TRUE(client.WriteRaw(burst));  // ~2 MiB of replies, 16 KiB allowed
+  EXPECT_TRUE(ReadUntilClosed(client));
   EXPECT_GE(reactor->stats().dropped_slow_reader, 1);
   EXPECT_GE(reactor->stats().dropped, 1);
   reactor->Shutdown();
@@ -310,10 +249,10 @@ TEST(ReactorTest, DropsConnectionFeedingAnOversizeLine) {
   ReactorOptions options = EchoOptions();
   options.max_line_bytes = 64;
   auto reactor = Reactor::Start(options).ValueOrDie();
-  TestClient client;
+  LineClient client;
   ASSERT_TRUE(client.Connect(reactor->port()));
-  ASSERT_TRUE(client.Write(std::string(200, 'x')));  // no newline ever
-  EXPECT_TRUE(client.ReadUntilClosed());
+  ASSERT_TRUE(client.WriteRaw(std::string(200, 'x')));  // no newline ever
+  EXPECT_TRUE(ReadUntilClosed(client));
   EXPECT_GE(reactor->stats().dropped, 1);
   reactor->Shutdown();
 }

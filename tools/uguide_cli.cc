@@ -26,15 +26,14 @@
 // Every subcommand prints a short human-readable summary to stdout; --out
 // writes machine-readable CSV.
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
 
 #include "core/uguide.h"
+#include "flags.h"
 
 using namespace uguide;
 
@@ -96,63 +95,6 @@ void Usage() {
                "re-asks)\n");
 }
 
-// Strict flag-value parsers. A value that does not parse (or is out of
-// range) is a usage error reported on stderr — never a silent default;
-// atoi's "--threads=two" -> 0 used to mean "all cores".
-
-bool FlagError(const char* flag, std::string_view value, const char* want) {
-  std::fprintf(stderr, "uguide: invalid value '%.*s' for %s (expected %s)\n",
-               static_cast<int>(value.size()), value.data(), flag, want);
-  return false;
-}
-
-bool ParseIntFlag(const char* flag, std::string_view value, int min_value,
-                  int* out) {
-  if (value.empty()) return FlagError(flag, value, "an integer");
-  long long parsed = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') return FlagError(flag, value, "an integer");
-    parsed = parsed * 10 + (c - '0');
-    if (parsed > std::numeric_limits<int>::max()) {
-      return FlagError(flag, value, "an integer in range");
-    }
-  }
-  if (parsed < min_value) return FlagError(flag, value, "a larger integer");
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool ParseU64Flag(const char* flag, std::string_view value, uint64_t* out) {
-  if (value.empty()) return FlagError(flag, value, "an unsigned integer");
-  uint64_t parsed = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') {
-      return FlagError(flag, value, "an unsigned integer");
-    }
-    const uint64_t digit = static_cast<uint64_t>(c - '0');
-    if (parsed > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
-      return FlagError(flag, value, "an unsigned 64-bit integer");
-    }
-    parsed = parsed * 10 + digit;
-  }
-  *out = parsed;
-  return true;
-}
-
-bool ParseDoubleFlag(const char* flag, std::string_view value, double lo,
-                     double hi, double* out) {
-  if (value.empty()) return FlagError(flag, value, "a number");
-  const std::string copy(value);
-  char* end = nullptr;
-  const double parsed = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size() || !std::isfinite(parsed) ||
-      !(parsed >= lo && parsed <= hi)) {
-    return FlagError(flag, value, "a finite number in range");
-  }
-  *out = parsed;
-  return true;
-}
-
 bool ParseArgs(int argc, char** argv, Args* args) {
   if (argc < 3) {
     std::fprintf(stderr, "uguide: expected a command and a CSV path\n");
@@ -174,8 +116,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         return false;
       }
     } else if (arg.rfind("--max-error=", 0) == 0) {
-      if (!ParseDoubleFlag("--max-error", value_of(12), 0.0, 1.0,
-                           &args->max_error)) {
+      if (!ParseDoubleFlag("--max-error", value_of(12), &args->max_error,
+                           0.0, 1.0)) {
         return false;
       }
     } else if (arg.rfind("--threads=", 0) == 0) {
@@ -190,22 +132,21 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (arg.rfind("--fault-plan=", 0) == 0) {
       args->fault_plan = arg.substr(13);
     } else if (arg.rfind("--discovery-deadline-ms=", 0) == 0) {
-      if (!ParseDoubleFlag("--discovery-deadline-ms", value_of(24), 0.0,
-                           std::numeric_limits<double>::max(),
-                           &args->discovery_deadline_ms)) {
+      if (!ParseDoubleFlag("--discovery-deadline-ms", value_of(24),
+                           &args->discovery_deadline_ms, 0.0,
+                           std::numeric_limits<double>::max())) {
         return false;
       }
     } else if (arg.rfind("--strategy=", 0) == 0) {
       args->strategy = arg.substr(11);
     } else if (arg.rfind("--budget=", 0) == 0) {
-      if (!ParseDoubleFlag("--budget", value_of(9), 0.0,
-                           std::numeric_limits<double>::max(),
-                           &args->budget)) {
+      if (!ParseDoubleFlag("--budget", value_of(9), &args->budget, 0.0,
+                           std::numeric_limits<double>::max())) {
         return false;
       }
     } else if (arg.rfind("--error-rate=", 0) == 0) {
-      if (!ParseDoubleFlag("--error-rate", value_of(13), 0.0, 1.0,
-                           &args->error_rate)) {
+      if (!ParseDoubleFlag("--error-rate", value_of(13), &args->error_rate,
+                           0.0, 1.0)) {
         return false;
       }
     } else if (arg.rfind("--journal=", 0) == 0) {

@@ -26,19 +26,18 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <thread>
 
 #include "common/fault_injection.h"
 #include "common/memory_budget.h"
 #include "common/thread_pool.h"
+#include "flags.h"
 #include "live/live_dataset.h"
 #include "server/daemon.h"
 #include "server/dataset.h"
@@ -109,53 +108,6 @@ void Usage() {
       "                         never deleted\n"
       "Refusals carry machine-readable code + retry_after_ms; op=health\n"
       "reports the brownout level and all shed/refused/dropped counters.\n");
-}
-
-bool FlagError(const char* flag, const std::string& value, const char* want) {
-  std::fprintf(stderr, "uguided: invalid value '%s' for %s (expected %s)\n",
-               value.c_str(), flag, want);
-  return false;
-}
-
-bool ParseIntFlag(const char* flag, const std::string& value, int min_value,
-                  int* out) {
-  if (value.empty()) return FlagError(flag, value, "an integer");
-  long long parsed = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') return FlagError(flag, value, "an integer");
-    parsed = parsed * 10 + (c - '0');
-    if (parsed > std::numeric_limits<int>::max()) {
-      return FlagError(flag, value, "an integer in range");
-    }
-  }
-  if (parsed < min_value) return FlagError(flag, value, "a larger integer");
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool ParseDoubleFlag(const char* flag, const std::string& value,
-                     double* out) {
-  if (value.empty()) return FlagError(flag, value, "a number");
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (errno != 0 || end != value.c_str() + value.size()) {
-    return FlagError(flag, value, "a number");
-  }
-  *out = parsed;
-  return true;
-}
-
-bool ParseU64Flag(const char* flag, const std::string& value, uint64_t* out) {
-  if (value.empty()) return FlagError(flag, value, "an integer");
-  char* end = nullptr;
-  errno = 0;
-  const uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end != value.c_str() + value.size()) {
-    return FlagError(flag, value, "an integer");
-  }
-  *out = parsed;
-  return true;
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
