@@ -349,21 +349,23 @@ Status SessionStateMachine::write_status() const {
   return write_status_;
 }
 
+Answer AskExpert(Expert& expert, const SessionQuestion& question) {
+  switch (question.kind) {
+    case QuestionKind::kCell:
+      return expert.IsCellErroneous(question.cell);
+    case QuestionKind::kTuple:
+      return expert.IsTupleClean(question.row);
+    case QuestionKind::kFd:
+      return expert.IsFdValid(question.fd);
+  }
+  return Answer::kIdk;
+}
+
 Result<SessionReport> DriveSession(SessionStateMachine& machine, Expert& expert,
                                    RetryingExpert* retrying) {
   while (std::optional<SessionQuestion> question = machine.NextQuestion()) {
     AnswerSubmission submission;
-    switch (question->kind) {
-      case QuestionKind::kCell:
-        submission.answer = expert.IsCellErroneous(question->cell);
-        break;
-      case QuestionKind::kTuple:
-        submission.answer = expert.IsTupleClean(question->row);
-        break;
-      case QuestionKind::kFd:
-        submission.answer = expert.IsFdValid(question->fd);
-        break;
-    }
+    submission.answer = AskExpert(expert, *question);
     if (retrying != nullptr) {
       submission.retry_cost = retrying->last_retry_cost();
       submission.exhausted = retrying->last_exhausted();

@@ -227,6 +227,9 @@ class SessionStateMachine {
   Status write_status_ = Status::OK();
 };
 
+/// Puts `question` to `expert` (the call its kind maps to).
+Answer AskExpert(Expert& expert, const SessionQuestion& question);
+
 /// \brief The canonical in-process driver: pumps `machine` with `expert`.
 ///
 /// Every question is put to `expert`; when `retrying` is non-null its
