@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the interactive questioning path:
 // violation-graph construction (hash-grouping baseline vs the shared
 // partition-backed engine, serial and parallel), per-question selection for
-// the cell strategies (incremental heaps / incremental SUMS vs the retained
-// full-rescan reference), and end-to-end sessions across strategies and
-// thread counts. Emits BENCH_questioning.json; the engine benches carry the
+// the cell strategies (heap selectors / change-propagating SUMS vs the
+// test-only full-rescan references), and end-to-end sessions across
+// strategies and thread counts. Emits BENCH_questioning.json; the engine benches carry the
 // partition-cache hit/miss counters the CI bench-smoke job asserts on.
 
 #include <benchmark/benchmark.h>
@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "core/uguide.h"
+#include "reference/reference_cell_strategies.h"
+#include "reference/reference_graph.h"
 
 namespace uguide {
 namespace {
@@ -113,12 +115,13 @@ const Session& HospitalSession(int threads) {
 // --- Violation-graph construction -------------------------------------------
 
 // Baseline: the original per-FD hash-grouping detector, serial. This is
-// the pre-engine code path, kept as ViolationGraph::BuildReference.
+// the pre-engine code path, kept as the test-only BuildReferenceGraph
+// (tests/reference).
 void BM_GraphBuildHashBaseline(benchmark::State& state) {
   const TaxFixture& tax = TaxAtScale(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        ViolationGraph::BuildReference(tax.dirty, tax.candidates));
+        BuildReferenceGraph(tax.dirty, tax.candidates));
   }
   state.counters["candidate_fds"] =
       benchmark::Counter(static_cast<double>(tax.candidates.Size()));
@@ -255,22 +258,24 @@ BENCHMARK(BM_PartitionProductReference)->Unit(benchmark::kMillisecond);
 
 // --- Per-question selection --------------------------------------------------
 
-// Full strategy runs with incremental selection on vs. the retained
-// rescan reference; `per_question_us` is the normalized selection+update
-// cost the interactive loop actually pays.
+// Full runs of a shipped cell strategy (`incremental`) or its test-only
+// rescan reference; `questions_per_second` is the normalized
+// selection+update rate the interactive loop actually pays.
 void RunCellStrategyBench(benchmark::State& state, const Session& session,
                           const std::string& which, bool incremental,
                           int sums_interval = 0) {
   CellStrategyOptions options;
-  options.incremental = incremental;
   if (sums_interval > 0) options.sums_recompute_interval = sums_interval;
   std::unique_ptr<Strategy> strategy;
   if (which == "hs") {
-    strategy = MakeCellQHittingSet(options);
+    strategy = incremental ? MakeCellQHittingSet(options)
+                           : MakeReferenceCellQHittingSet(options);
   } else if (which == "greedy") {
-    strategy = MakeCellQGreedy(options);
+    strategy = incremental ? MakeCellQGreedy(options)
+                           : MakeReferenceCellQGreedy(options);
   } else {
-    strategy = MakeCellQSums(options);
+    strategy = incremental ? MakeCellQSums(options)
+                           : MakeReferenceCellQSums(options);
   }
   int questions = 0;
   for (auto _ : state) {

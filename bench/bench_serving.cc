@@ -235,15 +235,17 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "  ],\n"
                "  \"counters\": {\n"
-               "    \"opened\": %d, \"finished\": %d, \"evicted\": %d, "
-               "\"refused\": %d,\n"
+               "    \"opened\": %lld, \"finished\": %lld, \"evicted\": %lld, "
+               "\"refused\": %lld,\n"
                "    \"rate_limited\": %lld, \"deadline_shed\": %lld, "
                "\"brownout_refused\": %lld, \"brownout_shed\": %lld,\n"
                "    \"accepted\": %lld, \"dropped\": %lld, "
                "\"dropped_slow_reader\": %lld, \"reaped_idle\": %lld\n"
                "  }\n}\n",
-               manager_stats.opened, manager_stats.finished,
-               manager_stats.evicted, manager_stats.refused,
+               static_cast<long long>(manager_stats.opened),
+               static_cast<long long>(manager_stats.finished),
+               static_cast<long long>(manager_stats.evicted),
+               static_cast<long long>(manager_stats.refused),
                static_cast<long long>(admission.rate_limited),
                static_cast<long long>(admission.deadline_shed),
                static_cast<long long>(admission.brownout_refused),

@@ -92,7 +92,7 @@ struct CellRun {
 
 // Applies the expert's answer to `c` with Algorithm 2's updates. Returns
 // the FDs whose state the answer touched (confidence bump on "yes",
-// deactivation on "no") so incremental selectors know which cells to
+// deactivation on "no") so the heap selectors know which cells to
 // rescore.
 std::vector<FdId> ApplyAnswer(CellRun& run, CellId c, Answer answer,
                               double delta) {
@@ -133,12 +133,11 @@ std::vector<FdId> ApplyAnswer(CellRun& run, CellId c, Answer answer,
 
 // Lazy-invalidation selector: a min-heap over (score, cell) that pops the
 // askable cell with the smallest score, ties toward the lowest CellId —
-// exactly the cell the reference linear scan (first strict improvement)
+// exactly the cell an ascending linear scan (first strict improvement)
 // would pick. Rescoring pushes a fresh entry instead of updating in place;
 // stale entries are recognized on pop by comparing against the score
-// array. Scores are recomputed by the same floating-point expression the
-// reference scan uses, so the staleness equality test and the selected
-// cells are exact.
+// array. Scores are recomputed by the same floating-point expression every
+// time, so the staleness equality test and the selected cells are exact.
 class SelectionHeap {
  public:
   explicit SelectionHeap(int num_cells)
@@ -194,27 +193,57 @@ class SelectionHeap {
   Heap heap_;
 };
 
-class CellQHittingSet : public Strategy {
- public:
-  explicit CellQHittingSet(const CellStrategyOptions& options)
-      : options_(options) {}
+// The budgeted ask loop every cell strategy shares (the counterpart of
+// RunFdLoop): while one more question fits the budget, asks the cell
+// `select()` returns (-1 = nothing left to ask) and hands the expert's
+// answer to `on_answer(cell, answer)`. It owns the budget check, the
+// expert call and the question tally; selection and answer handling
+// belong to the strategy.
+template <typename SelectFn, typename AnswerFn>
+StrategyResult RunCellLoop(const QuestionContext& ctx,
+                           const ViolationGraph& graph, SelectFn select,
+                           AnswerFn on_answer) {
+  StrategyResult result;
+  const double cost = ctx.cost.CellCost();
+  while (result.cost_spent + cost <= ctx.budget) {
+    const CellId best = select();
+    if (best < 0) break;
+    const Answer answer = ctx.expert->IsCellErroneous(graph.cell(best));
+    result.cost_spent += cost;
+    ++result.questions_asked;
+    on_answer(best, answer);
+  }
+  return result;
+}
 
-  std::string_view name() const override { return "CellQ-HS"; }
+// Hitting-set rule (Algorithm 2): minimize weight / active-degree.
+double HittingSetScore(const CellRun& run, CellId c) {
+  return run.CellWeight(c) / run.graph.ActiveDegreeOfCell(c);
+}
+
+// Greedy rule (§7.1): maximize the number of flagging candidate FDs.
+// Negated so the min-heap selects the maximum; degrees are small integers,
+// exactly representable, so staleness equality is exact.
+double GreedyScore(const CellRun& run, CellId c) {
+  return -static_cast<double>(run.graph.ActiveDegreeOfCell(c));
+}
+
+// CellQ-HS and CellQ-Greedy: each round asks the askable cell with the
+// minimal (Score, id) from a lazy SelectionHeap, then applies Algorithm 2's
+// updates. Only cells adjacent to an FD the answer touched can change
+// score, so only those are rescored. Greedy's score is the degree alone,
+// which a "yes" never moves (it changes confidences), so Greedy skips the
+// rescoring there instead of pushing duplicate entries.
+template <double (*Score)(const CellRun&, CellId), bool kRescoreOnYes>
+class HeapCellStrategy : public Strategy {
+ public:
+  HeapCellStrategy(std::string_view name, const CellStrategyOptions& options)
+      : name_(name), options_(options) {}
+
+  std::string_view name() const override { return name_; }
 
   StrategyResult Run(const QuestionContext& ctx) override {
-    return options_.incremental ? RunIncremental(ctx) : RunReference(ctx);
-  }
-
- private:
-  // Hitting-set rule: minimize weight / active-degree.
-  static double Score(const CellRun& run, CellId c) {
-    return run.CellWeight(c) / run.graph.ActiveDegreeOfCell(c);
-  }
-
-  StrategyResult RunIncremental(const QuestionContext& ctx) const {
     CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
     SelectionHeap heap(run.graph.NumCells());
     // Word scan: only active cells are visited, and Askable implies active,
     // so seeding the heap over the bitmap matches the dense 0..NumCells
@@ -223,129 +252,21 @@ class CellQHittingSet : public Strategy {
       if (run.Askable(c)) heap.Update(c, Score(run, c));
     });
     const auto askable = [&run](CellId c) { return run.Askable(c); };
-    while (result.cost_spent + cost <= ctx.budget) {
-      const CellId best = heap.Best(askable);
-      if (best < 0) break;
-      Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(best));
-      result.cost_spent += cost;
-      ++result.questions_asked;
-      // Only cells adjacent to a touched FD can change score: "yes" bumps
-      // the flagging FDs' confidences, "no" removes them (and with them
-      // degree). Everything else keeps its fresh heap entry.
-      const std::vector<FdId> affected =
-          ApplyAnswer(run, best, answer, options_.delta);
-      run.ForEachAskableCellOf(
-          affected, [&](CellId c) { heap.Update(c, Score(run, c)); });
-    }
+    StrategyResult result = RunCellLoop(
+        ctx, run.graph, [&] { return heap.Best(askable); },
+        [&](CellId best, Answer answer) {
+          const std::vector<FdId> affected =
+              ApplyAnswer(run, best, answer, options_.delta);
+          if (!kRescoreOnYes && answer == Answer::kYes) return;
+          run.ForEachAskableCellOf(
+              affected, [&](CellId c) { heap.Update(c, Score(run, c)); });
+        });
     result.accepted_fds = run.Accept(options_.accept_threshold);
     return result;
-  }
-
-  // The original full-rescan selection, retained as the behavioral
-  // reference for the equivalence suite.
-  StrategyResult RunReference(const QuestionContext& ctx) const {
-    CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
-    while (result.cost_spent + cost <= ctx.budget) {
-      CellId best = -1;
-      double best_score = 0.0;
-      for (CellId c = 0; c < run.graph.NumCells(); ++c) {
-        if (!run.Askable(c)) continue;
-        const double score = Score(run, c);
-        if (best < 0 || score < best_score) {
-          best = c;
-          best_score = score;
-        }
-      }
-      if (best < 0) break;
-      Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(best));
-      result.cost_spent += cost;
-      ++result.questions_asked;
-      ApplyAnswer(run, best, answer, options_.delta);
-    }
-    result.accepted_fds = run.Accept(options_.accept_threshold);
-    return result;
-  }
-
-  CellStrategyOptions options_;
-};
-
-class CellQGreedy : public Strategy {
- public:
-  explicit CellQGreedy(const CellStrategyOptions& options)
-      : options_(options) {}
-
-  std::string_view name() const override { return "CellQ-Greedy"; }
-
-  StrategyResult Run(const QuestionContext& ctx) override {
-    return options_.incremental ? RunIncremental(ctx) : RunReference(ctx);
   }
 
  private:
-  // Greedy rule: maximize the number of flagging candidate FDs. Negated so
-  // the shared min-heap selects the maximum; degrees are small integers,
-  // exactly representable, so staleness equality is exact.
-  static double Score(const CellRun& run, CellId c) {
-    return -static_cast<double>(run.graph.ActiveDegreeOfCell(c));
-  }
-
-  StrategyResult RunIncremental(const QuestionContext& ctx) const {
-    CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
-    SelectionHeap heap(run.graph.NumCells());
-    // Word scan: only active cells are visited, and Askable implies active,
-    // so seeding the heap over the bitmap matches the dense 0..NumCells
-    // scan exactly (ascending, same entries).
-    run.graph.ForEachActiveCell([&](CellId c) {
-      if (run.Askable(c)) heap.Update(c, Score(run, c));
-    });
-    const auto askable = [&run](CellId c) { return run.Askable(c); };
-    while (result.cost_spent + cost <= ctx.budget) {
-      const CellId best = heap.Best(askable);
-      if (best < 0) break;
-      Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(best));
-      result.cost_spent += cost;
-      ++result.questions_asked;
-      const std::vector<FdId> affected =
-          ApplyAnswer(run, best, answer, options_.delta);
-      // Degree is the whole score, and it only moves when FDs deactivate:
-      // a "yes" changes confidences, never degrees, so every heap entry
-      // stays exact and rescoring would push duplicates.
-      if (answer != Answer::kNo) continue;
-      run.ForEachAskableCellOf(
-          affected, [&](CellId c) { heap.Update(c, Score(run, c)); });
-    }
-    result.accepted_fds = run.Accept(options_.accept_threshold);
-    return result;
-  }
-
-  StrategyResult RunReference(const QuestionContext& ctx) const {
-    CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
-    while (result.cost_spent + cost <= ctx.budget) {
-      CellId best = -1;
-      int best_degree = 0;
-      for (CellId c = 0; c < run.graph.NumCells(); ++c) {
-        if (!run.Askable(c)) continue;
-        const int degree = run.graph.ActiveDegreeOfCell(c);
-        if (degree > best_degree) {
-          best = c;
-          best_degree = degree;
-        }
-      }
-      if (best < 0) break;
-      Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(best));
-      result.cost_spent += cost;
-      ++result.questions_asked;
-      ApplyAnswer(run, best, answer, options_.delta);
-    }
-    result.accepted_fds = run.Accept(options_.accept_threshold);
-    return result;
-  }
-
+  std::string_view name_;
   CellStrategyOptions options_;
 };
 
@@ -360,8 +281,6 @@ class CellQOracle : public Strategy {
     UGUIDE_CHECK(ctx.true_violations != nullptr && ctx.true_fds != nullptr)
         << "CellQ-Oracle requires the true violation set and true FDs";
     CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
 
     // The oracle knows which candidate FDs are genuinely implied by the
     // clean table's FDs.
@@ -372,9 +291,9 @@ class CellQOracle : public Strategy {
           true_closure.Implies(run.graph.fd(f));
     }
 
-    while (result.cost_spent + cost <= ctx.budget) {
-      // Payoff of a question: a clean cell kills its active false FDs; a
-      // true violation pushes its unaccepted true FDs toward acceptance.
+    // Payoff of a question: a clean cell kills its active false FDs; a
+    // true violation pushes its unaccepted true FDs toward acceptance.
+    const auto select = [&] {
       CellId best = -1;
       double best_payoff = 0.0;
       run.graph.ForEachActiveCell([&](CellId c) {
@@ -397,12 +316,12 @@ class CellQOracle : public Strategy {
           best_payoff = payoff;
         }
       });
-      if (best < 0) break;
-      Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(best));
-      result.cost_spent += cost;
-      ++result.questions_asked;
-      ApplyAnswer(run, best, answer, options_.delta);
-    }
+      return best;
+    };
+    StrategyResult result =
+        RunCellLoop(ctx, run.graph, select, [&](CellId best, Answer answer) {
+          ApplyAnswer(run, best, answer, options_.delta);
+        });
     result.accepted_fds = run.Accept(options_.accept_threshold);
     return result;
   }
@@ -413,15 +332,16 @@ class CellQOracle : public Strategy {
 
 // --- Cell-Q-SUMS ----------------------------------------------------------
 
-// Persistent fixpoint state for the incremental Estimate-Confidence:
-// un-normalized node scores plus staleness flags. A node's expensive
-// adjacency sum is recomputed only when one of its inputs changed (an
-// expert answer or a bitwise change of a neighbor's normalized value in
-// the previous half-iteration); normalization and convergence checks stay
-// cheap whole-array scalar passes. Because a non-stale node's stored sum
-// is bitwise what the full recomputation would produce, every iteration —
+// Persistent fixpoint state for Estimate-Confidence: un-normalized node
+// scores plus staleness flags. A node's expensive adjacency sum is
+// recomputed only when one of its inputs changed (an expert answer or a
+// bitwise change of a neighbor's normalized value in the previous
+// half-iteration); normalization and convergence checks stay cheap
+// whole-array scalar passes. Because a non-stale node's stored sum is
+// bitwise what the full recomputation would produce, every iteration —
 // and therefore the whole fixpoint, its iteration count, and the selected
-// questions — is byte-identical to the reference implementation.
+// questions — is byte-identical to recomputing every node each iteration
+// (the full-recomputation reference in tests/reference).
 struct SumsState {
   explicit SumsState(const ViolationGraph& graph)
       : u_fd(static_cast<size_t>(graph.NumFds()), 0.0),
@@ -438,7 +358,7 @@ struct SumsState {
   // Dense-staleness mode bits: a node is stale iff the side's `all` bit is
   // set or its flag is. Normalization-max shifts cascade bitwise changes
   // to a whole side at once; flipping one bit then lets the refresh pass
-  // skip flag reads entirely and run at exactly the reference cost.
+  // skip flag reads entirely and run at full-recomputation cost.
   bool fd_all_stale = true;
   bool cell_all_stale = true;
 
@@ -459,8 +379,6 @@ class CellQSums : public Strategy {
 
   StrategyResult Run(const QuestionContext& ctx) override {
     CellRun run(ctx, options_);
-    StrategyResult result;
-    const double cost = ctx.cost.CellCost();
     std::vector<double> cell_conf(static_cast<size_t>(run.graph.NumCells()),
                                   1.0);
     // Cells the expert confirmed as violations are pinned at confidence 1
@@ -479,20 +397,16 @@ class CellQSums : public Strategy {
       return Score(run, cell_conf, evidence, c);
     };
 
-    // Incremental selection: a lazy heap keyed on the negated score, so its
-    // minimal (key, id) is the maximal score with ties toward the lowest
-    // id -- the reference scan's first strict maximum. Negation is exact,
-    // and only scores > 0 enter, as the scan starts from best_score = 0.
-    // Every estimate() moves cell_conf and with it (potentially) every
-    // score, so it reseeds the whole heap; between estimates a score moves
-    // only with its flagging FDs' evidence or activity (see below).
+    // Selection: a lazy heap keyed on the negated score, so its minimal
+    // (key, id) is the maximal score with ties toward the lowest id --
+    // Algorithm 3's first strict maximum over an ascending scan. Negation
+    // is exact, and only scores > 0 enter. Every estimate() moves
+    // cell_conf and with it (potentially) every score, so it reseeds the
+    // whole heap; between estimates a score moves only with its flagging
+    // FDs' evidence or activity (see on_answer).
     SelectionHeap heap(run.graph.NumCells());
     const auto estimate = [&] {
-      if (!options_.incremental) {
-        EstimateConfidenceReference(run, cell_conf, pinned);
-        return;
-      }
-      EstimateConfidenceIncremental(run, cell_conf, pinned, state);
+      EstimateConfidence(run, cell_conf, pinned, state);
       heap.Rebuild([&](const auto& push) {
         run.graph.ForEachActiveCell([&](CellId c) {
           if (!run.Askable(c)) return;
@@ -501,41 +415,27 @@ class CellQSums : public Strategy {
         });
       });
     };
+    const auto askable = [&run](CellId c) { return run.Askable(c); };
+    const auto select = [&] {
+      CellId best = heap.Best(askable);
+      if (best >= 0) return best;
+      // No confirmation can add evidence anymore; spend leftover budget
+      // hunting false positives instead: ask the least trusted violation,
+      // whose "no" answer invalidates its flagging FDs.
+      double lowest = 2.0;
+      run.graph.ForEachActiveCell([&](CellId c) {
+        if (!run.Askable(c)) return;
+        if (cell_conf[static_cast<size_t>(c)] < lowest) {
+          best = c;
+          lowest = cell_conf[static_cast<size_t>(c)];
+        }
+      });
+      return best;
+    };
 
     estimate();
     int answers_since_estimate = 0;
-    while (result.cost_spent + cost <= ctx.budget) {
-      CellId best = -1;
-      if (options_.incremental) {
-        best = heap.Best([&run](CellId c) { return run.Askable(c); });
-      } else {
-        double best_score = 0.0;
-        run.graph.ForEachActiveCell([&](CellId c) {
-          if (!run.Askable(c)) return;
-          const double s = score(c);
-          if (s > best_score) {
-            best = c;
-            best_score = s;
-          }
-        });
-      }
-      if (best < 0) {
-        // No confirmation can add evidence anymore; spend leftover budget
-        // hunting false positives instead: ask the least trusted violation,
-        // whose "no" answer invalidates its flagging FDs.
-        double lowest = 2.0;
-        run.graph.ForEachActiveCell([&](CellId c) {
-          if (!run.Askable(c)) return;
-          if (cell_conf[static_cast<size_t>(c)] < lowest) {
-            best = c;
-            lowest = cell_conf[static_cast<size_t>(c)];
-          }
-        });
-      }
-      if (best < 0) break;
-      Answer answer = ctx.expert->IsCellErroneous(run.graph.cell(best));
-      result.cost_spent += cost;
-      ++result.questions_asked;
+    const auto on_answer = [&](CellId best, Answer answer) {
       run.asked[static_cast<size_t>(best)] = true;
       // FDs whose evidence moved ("yes") or that were deactivated ("no"):
       // the only score inputs an answer changes, besides askability.
@@ -571,13 +471,13 @@ class CellQSums : public Strategy {
           break;
         }
         case Answer::kIdk:
-          continue;  // no new evidence; re-select
+          return;  // no new evidence; re-select
       }
       // The fixpoint moves little per answer; recompute in batches.
       if (++answers_since_estimate >= options_.sums_recompute_interval) {
         estimate();
         answers_since_estimate = 0;
-      } else if (options_.incremental) {
+      } else {
         run.ForEachAskableCellOf(affected, [&](CellId c) {
           const double s = score(c);
           if (s > 0.0) {
@@ -587,7 +487,8 @@ class CellQSums : public Strategy {
           }
         });
       }
-    }
+    };
+    StrategyResult result = RunCellLoop(ctx, run.graph, select, on_answer);
 
     // Accept like Algorithm 2, from the evidence confidences.
     FdSet accepted;
@@ -606,8 +507,7 @@ class CellQSums : public Strategy {
   // Maximum information: confidence near 1/2 (the fixpoint is unsure),
   // weighted by the *marginal* evidence the answer can add -- flagging
   // FDs that are already confirmed contribute nothing, so the strategy
-  // moves on instead of re-confirming the same dependencies. Shared by
-  // both selection arms, so their scores are bitwise equal.
+  // moves on instead of re-confirming the same dependencies.
   static double Score(const CellRun& run, const std::vector<double>& cell_conf,
                       const std::vector<double>& evidence, CellId c) {
     const double uncertainty =
@@ -625,90 +525,28 @@ class CellQSums : public Strategy {
   // violations until convergence. FD confidence = log-boosted average of
   // its violations' confidences; violation confidence = sum of its FDs'
   // confidences; both max-normalized each round. Pinned (expert-labelled)
-  // cells keep their value. Retained as the behavioral reference for the
-  // incremental version below.
-  void EstimateConfidenceReference(CellRun& run,
-                                   std::vector<double>& cell_conf,
-                                   const std::vector<bool>& pinned) const {
-    const int num_fds = run.graph.NumFds();
-    const int num_cells = run.graph.NumCells();
-    std::vector<double> next_fd(static_cast<size_t>(num_fds), 0.0);
-    for (int iter = 0; iter < options_.sums_max_iterations; ++iter) {
-      double max_delta = 0.0;
-      // FD side.
-      double max_fd = 0.0;
-      for (FdId f = 0; f < num_fds; ++f) {
-        next_fd[static_cast<size_t>(f)] = 0.0;
-        if (!run.graph.FdActive(f)) continue;
-        double sum = 0.0;
-        int count = 0;
-        for (CellId c : run.graph.CellsOfFd(f)) {
-          if (!run.graph.CellActive(c)) continue;
-          sum += cell_conf[static_cast<size_t>(c)];
-          ++count;
-        }
-        next_fd[static_cast<size_t>(f)] =
-            count == 0 ? 0.0 : std::log(1.0 + count) * (sum / count);
-        max_fd = std::max(max_fd, next_fd[static_cast<size_t>(f)]);
-      }
-      if (max_fd > 0.0) {
-        for (double& v : next_fd) v /= max_fd;
-      }
-      for (FdId f = 0; f < num_fds; ++f) {
-        max_delta = std::max(max_delta,
-                             std::abs(next_fd[static_cast<size_t>(f)] -
-                                      run.fd_conf[static_cast<size_t>(f)]));
-      }
-      run.fd_conf.swap(next_fd);
-
-      // Violation side.
-      double max_cell = 0.0;
-      for (CellId c = 0; c < num_cells; ++c) {
-        if (!run.graph.CellActive(c) || pinned[static_cast<size_t>(c)]) {
-          continue;
-        }
-        double sum = 0.0;
-        for (FdId f : run.graph.FdsOfCell(c)) {
-          if (run.graph.FdActive(f)) {
-            sum += run.fd_conf[static_cast<size_t>(f)];
-          }
-        }
-        cell_conf[static_cast<size_t>(c)] = sum;
-        max_cell = std::max(max_cell, sum);
-      }
-      if (max_cell > 0.0) {
-        for (CellId c = 0; c < num_cells; ++c) {
-          if (!pinned[static_cast<size_t>(c)] && run.graph.CellActive(c)) {
-            cell_conf[static_cast<size_t>(c)] /= max_cell;
-          }
-        }
-      }
-
-      if (max_delta < options_.sums_tolerance) break;
-    }
-  }
-
-  // The same fixpoint, recomputing adjacency sums only for nodes whose
-  // inputs changed. Un-normalized scores persist in `state` across calls;
-  // staleness is seeded by expert answers (see Run) and propagated inside
-  // an iteration by *bitwise* comparison of normalized values, so a node
-  // is recomputed exactly when a full recomputation could produce a
-  // different bit pattern. Normalization, the convergence delta, and the
-  // max reductions remain O(nodes) scalar passes over stored values —
-  // identical arithmetic to the reference, hence identical results,
-  // iteration counts, and early exits.
-  void EstimateConfidenceIncremental(CellRun& run,
-                                     std::vector<double>& cell_conf,
-                                     const std::vector<bool>& pinned,
-                                     SumsState& state) const {
+  // cells keep their value.
+  //
+  // Adjacency sums are recomputed only for nodes whose inputs changed.
+  // Un-normalized scores persist in `state` across calls; staleness is
+  // seeded by expert answers (see Run) and propagated inside an iteration
+  // by *bitwise* comparison of normalized values, so a node is recomputed
+  // exactly when a full recomputation could produce a different bit
+  // pattern. Normalization, the convergence delta, and the max reductions
+  // remain O(nodes) scalar passes over stored values — the arithmetic of
+  // a full recomputation, hence identical results, iteration counts, and
+  // early exits.
+  void EstimateConfidence(CellRun& run, std::vector<double>& cell_conf,
+                          const std::vector<bool>& pinned,
+                          SumsState& state) const {
     const int num_fds = run.graph.NumFds();
     const int num_cells = run.graph.NumCells();
     // Changed nodes collected per iteration; when a large fraction of one
     // side changed (a "no" answer shifting a normalization max cascades
     // globally), setting the other side's dense-staleness bit beats
     // per-node adjacency marking, and the next refresh runs flag-free at
-    // reference cost. Over-marking only triggers recomputation, which is
-    // deterministic, so results are unaffected.
+    // full-recomputation cost. Over-marking only triggers recomputation,
+    // which is deterministic, so results are unaffected.
     std::vector<FdId> changed_fds;
     std::vector<CellId> changed_cells;
     const auto fd_score = [&](FdId f) {
@@ -832,7 +670,8 @@ class CellQSums : public Strategy {
 
 std::unique_ptr<Strategy> MakeCellQHittingSet(
     const CellStrategyOptions& options) {
-  return std::make_unique<CellQHittingSet>(options);
+  return std::make_unique<HeapCellStrategy<HittingSetScore, true>>(
+      "CellQ-HS", options);
 }
 
 std::unique_ptr<Strategy> MakeCellQSums(const CellStrategyOptions& options) {
@@ -840,7 +679,8 @@ std::unique_ptr<Strategy> MakeCellQSums(const CellStrategyOptions& options) {
 }
 
 std::unique_ptr<Strategy> MakeCellQGreedy(const CellStrategyOptions& options) {
-  return std::make_unique<CellQGreedy>(options);
+  return std::make_unique<HeapCellStrategy<GreedyScore, false>>(
+      "CellQ-Greedy", options);
 }
 
 std::unique_ptr<Strategy> MakeCellQOracle(const CellStrategyOptions& options) {

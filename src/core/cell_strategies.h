@@ -36,14 +36,6 @@ struct CellStrategyOptions {
   /// accept_threshold; the truth-discovery fixpoint steers question
   /// *selection*, while acceptance follows confirmed violations).
   double sums_accept_threshold = 0.9;
-
-  /// Incremental question selection: lazy-invalidation score heaps for
-  /// CellQ-HS / CellQ-Greedy and a change-propagating Estimate-Confidence
-  /// fixpoint for CellQ-SUMS, replacing the per-question full rescans.
-  /// Selections and results are byte-identical either way (DESIGN.md §9);
-  /// `false` runs the original rescan code, retained as the behavioral
-  /// reference for the equivalence suite.
-  bool incremental = true;
 };
 
 /// Cell-Q-Hitting-Set (Algorithm 2): asks the violation minimizing

@@ -461,7 +461,7 @@ int SessionManager::EvictIdle() {
         ++it;
       }
     }
-    stats_.evicted += static_cast<int>(idle.size());
+    stats_.evicted += static_cast<int64_t>(idle.size());
   }
   for (auto& served : idle) {
     std::lock_guard<std::mutex> step_lock(served->step_mu);

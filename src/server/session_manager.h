@@ -2,6 +2,7 @@
 #define UGUIDE_SERVER_SESSION_MANAGER_H_
 
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -72,15 +73,16 @@ struct SessionManagerOptions {
   AdmissionOptions admission;
 };
 
-/// Counters exposed for the daemon's exit summary and tests.
+/// Counters exposed for the daemon's exit summary and tests. As wide as
+/// the HealthInfo fields op=health copies them into.
 struct SessionManagerStats {
-  int opened = 0;
-  int finished = 0;
-  int evicted = 0;
-  int refused = 0;
+  int64_t opened = 0;
+  int64_t finished = 0;
+  int64_t evicted = 0;
+  int64_t refused = 0;
   /// Sessions whose journal writer became poisoned (failed write/fsync)
   /// and were converted to structured `storage_failed` refusals.
-  int storage_failed = 0;
+  int64_t storage_failed = 0;
 };
 
 /// What the startup recovery scan found in journal_dir (plus runtime
@@ -88,10 +90,10 @@ struct SessionManagerStats {
 /// crash-restart gate checks that no admitted session is missing from
 /// resumable + finished + quarantined.
 struct JournalRecoveryStats {
-  int resumable = 0;    ///< intact, unfinished: a resume will replay these
-  int finished = 0;     ///< durable end marker present (retained)
-  int quarantined = 0;  ///< damaged files moved to *.quarantined
-  int gced = 0;         ///< finished journals deleted past journal_retain_s
+  int64_t resumable = 0;    ///< intact, unfinished: a resume will replay these
+  int64_t finished = 0;     ///< durable end marker present (retained)
+  int64_t quarantined = 0;  ///< damaged files moved to *.quarantined
+  int64_t gced = 0;         ///< finished journals deleted past journal_retain_s
 };
 
 /// \brief Owns the N concurrent served sessions of a daemon.

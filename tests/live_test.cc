@@ -21,6 +21,7 @@
 #include "live/live_relation.h"
 #include "live/mutation.h"
 #include "oracle/simulated_expert.h"
+#include "reference/reference_graph.h"
 #include "server/protocol.h"
 #include "server/session_manager.h"
 #include "test_util.h"
@@ -314,10 +315,9 @@ TEST_F(LiveTest, StormEpochsMatchFullRebuildAtAnyThreadCount) {
       const ViolationGraph rebuilt =
           ViolationGraph::Build(fresh, session_->candidates(), nullptr);
       ExpectGraphsEqual(cur->graph(), rebuilt, tag + " rebuild");
-      ExpectGraphsEqual(
-          cur->graph(),
-          ViolationGraph::BuildReference(mutated, session_->candidates()),
-          tag + " reference");
+      ExpectGraphsEqual(cur->graph(),
+                        BuildReferenceGraph(mutated, session_->candidates()),
+                        tag + " reference");
       ExpectGraphsEqual(pooled.Current()->graph(), rebuilt, tag + " pooled");
 
       // Every strategy's report from the live epoch session matches a

@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -25,6 +26,36 @@ namespace uguide {
 namespace {
 
 using ::uguide::testing::MakeHospitalSession;
+
+// Every counter SessionManager::HandleHealth copies into HealthInfo has its
+// field's exact type, so a served counter can neither overflow nor be
+// truncated before the 64-bit health frame is full.
+template <typename Stats, typename Counter, typename Field>
+constexpr bool SameType(Counter Stats::*, Field HealthInfo::*) {
+  return std::is_same_v<Counter, Field>;
+}
+static_assert(SameType(&SessionManagerStats::opened, &HealthInfo::opened));
+static_assert(SameType(&SessionManagerStats::finished, &HealthInfo::finished));
+static_assert(SameType(&SessionManagerStats::evicted, &HealthInfo::evicted));
+static_assert(SameType(&SessionManagerStats::refused, &HealthInfo::refused));
+static_assert(SameType(&SessionManagerStats::storage_failed,
+                       &HealthInfo::storage_failed));
+static_assert(SameType(&JournalRecoveryStats::resumable,
+                       &HealthInfo::journals_resumable));
+static_assert(SameType(&JournalRecoveryStats::finished,
+                       &HealthInfo::journals_finished));
+static_assert(SameType(&JournalRecoveryStats::quarantined,
+                       &HealthInfo::journals_quarantined));
+static_assert(SameType(&JournalRecoveryStats::gced,
+                       &HealthInfo::journals_gced));
+static_assert(SameType(&AdmissionStats::rate_limited,
+                       &HealthInfo::rate_limited));
+static_assert(SameType(&AdmissionStats::deadline_shed,
+                       &HealthInfo::deadline_shed));
+static_assert(SameType(&AdmissionStats::brownout_refused,
+                       &HealthInfo::brownout_refused));
+static_assert(SameType(&AdmissionStats::brownout_shed,
+                       &HealthInfo::brownout_shed));
 
 // --- JSON parser ------------------------------------------------------------
 

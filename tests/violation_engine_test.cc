@@ -1,8 +1,8 @@
 // Equivalence suite for the partition-backed violation engine (DESIGN.md
 // §9): every query must be byte-identical to the hash-grouping reference
 // detector, the parallel graph build must be bit-identical to the serial
-// one at any thread count, and the incremental strategy paths must select
-// the same questions as the retained full-rescan reference.
+// one at any thread count, and the shipped cell strategies must select the
+// same questions as the full-rescan references in tests/reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,8 @@
 #include "discovery/tane.h"
 #include "errorgen/error_generator.h"
 #include "oracle/simulated_expert.h"
+#include "reference/reference_cell_strategies.h"
+#include "reference/reference_graph.h"
 #include "test_util.h"
 #include "violations/bipartite_graph.h"
 #include "violations/violation_detector.h"
@@ -211,7 +213,7 @@ TEST(ViolationGraphTest, CsrAdjacencyMatchesReferenceOnRandomRelations) {
     Relation rel = MakeRandomRelation(seed, 100);
     FdSet fds;
     for (const Fd& fd : EnumerateFds(rel.NumAttributes())) fds.Add(fd);
-    const ViolationGraph reference = ViolationGraph::BuildReference(rel, fds);
+    const ViolationGraph reference = BuildReferenceGraph(rel, fds);
     const ViolationGraph csr = ViolationGraph::Build(rel, fds);
     ExpectGraphsEqual(reference, csr);
     ExpectFindCellMatches(csr, rel);
@@ -225,7 +227,7 @@ TEST(ViolationGraphTest, CsrAdjacencyMatchesReferenceOnRandomRelations) {
 TEST(ViolationGraphTest, ApproxMemoryBytesDeterministicAcrossThreadCounts) {
   Session session = testing::MakeHospitalSession(500);
   const size_t expected =
-      ViolationGraph::BuildReference(session.dirty(), session.candidates())
+      BuildReferenceGraph(session.dirty(), session.candidates())
           .ApproxMemoryBytes();
   EXPECT_GT(expected, 0u);
   for (int threads : {1, 2, 4, 8}) {
@@ -295,7 +297,7 @@ TEST(ViolationGraphTest, ActiveDegreesMatchRescanUnderRandomDeactivation) {
 TEST(ViolationGraphTest, ParallelBuildBitIdenticalAcrossThreadCounts) {
   Session session = testing::MakeHospitalSession(500);
   const ViolationGraph reference =
-      ViolationGraph::BuildReference(session.dirty(), session.candidates());
+      BuildReferenceGraph(session.dirty(), session.candidates());
   // The relation-only overload routes through a private engine.
   ExpectGraphsEqual(reference,
                     ViolationGraph::Build(session.dirty(),
@@ -326,29 +328,25 @@ void ExpectReportsEqual(const SessionReport& a, const SessionReport& b) {
 TEST(IncrementalSelectionTest, CellStrategiesMatchRescanReference) {
   // The lazy heaps (HS / Greedy) and the change-propagating SUMS fixpoint
   // must ask the same questions — hence produce byte-identical reports —
-  // as the retained O(NumCells)-rescan reference, including under IDK
+  // as the O(NumCells)-rescan references, including under IDK
   // answers (which change no state and re-select).
   for (double idk : {0.0, 0.25}) {
     Session session = testing::MakeHospitalSession(
         600, ErrorModel::kSystematic, 0.15, 5, idk);
     for (double budget : {30.0, 120.0}) {
-      CellStrategyOptions incremental;
-      incremental.incremental = true;
-      CellStrategyOptions reference;
-      reference.incremental = false;
       {
-        auto a = MakeCellQHittingSet(incremental);
-        auto b = MakeCellQHittingSet(reference);
+        auto a = MakeCellQHittingSet();
+        auto b = MakeReferenceCellQHittingSet();
         ExpectReportsEqual(session.Run(*a, budget), session.Run(*b, budget));
       }
       {
-        auto a = MakeCellQGreedy(incremental);
-        auto b = MakeCellQGreedy(reference);
+        auto a = MakeCellQGreedy();
+        auto b = MakeReferenceCellQGreedy();
         ExpectReportsEqual(session.Run(*a, budget), session.Run(*b, budget));
       }
       {
-        auto a = MakeCellQSums(incremental);
-        auto b = MakeCellQSums(reference);
+        auto a = MakeCellQSums();
+        auto b = MakeReferenceCellQSums();
         ExpectReportsEqual(session.Run(*a, budget), session.Run(*b, budget));
       }
     }
@@ -357,35 +355,28 @@ TEST(IncrementalSelectionTest, CellStrategiesMatchRescanReference) {
 
 TEST(IncrementalSelectionTest, SumsMatchesReferenceAtTightRecompute) {
   // Recomputing the fixpoint after every answer maximizes the number of
-  // incremental Estimate-Confidence invocations (the hardest schedule for
-  // staleness propagation).
+  // change-propagating Estimate-Confidence invocations (the hardest
+  // schedule for staleness propagation).
   Session session = testing::MakeHospitalSession(500);
-  CellStrategyOptions incremental;
-  incremental.incremental = true;
-  incremental.sums_recompute_interval = 1;
-  CellStrategyOptions reference = incremental;
-  reference.incremental = false;
-  auto a = MakeCellQSums(incremental);
-  auto b = MakeCellQSums(reference);
+  CellStrategyOptions options;
+  options.sums_recompute_interval = 1;
+  auto a = MakeCellQSums(options);
+  auto b = MakeReferenceCellQSums(options);
   ExpectReportsEqual(session.Run(*a, 150.0), session.Run(*b, 150.0));
 }
 
 TEST(IncrementalSelectionTest, SumsMatchesReferenceUntilEveryCellIsAsked) {
   // A budget no session can spend: the run only ends when no askable cell
   // is left, so evidence saturates, selection falls back to the
-  // lowest-confidence scan, and both arms drain the graph to the end. The
-  // session is small so the rescan arm can drain it quickly.
+  // lowest-confidence scan, and both strategies drain the graph to the end.
+  // The session is small so the rescan reference can drain it quickly.
   const double budget = 1e9;
   for (double idk : {0.0, 0.25}) {
     SCOPED_TRACE(idk);
     Session session = testing::MakeHospitalSession(
         200, ErrorModel::kSystematic, 0.15, 5, idk);
-    CellStrategyOptions incremental;
-    incremental.incremental = true;
-    CellStrategyOptions reference;
-    reference.incremental = false;
-    auto a = MakeCellQSums(incremental);
-    auto b = MakeCellQSums(reference);
+    auto a = MakeCellQSums();
+    auto b = MakeReferenceCellQSums();
     const SessionReport heap = session.Run(*a, budget);
     ExpectReportsEqual(heap, session.Run(*b, budget));
     EXPECT_GT(heap.result.questions_asked, 0);

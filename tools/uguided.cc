@@ -293,8 +293,8 @@ int main(int argc, char** argv) {
     // what the previous incarnation left behind and what happened to it.
     const JournalRecoveryStats recovery = (*daemon)->manager().recovery_stats();
     std::printf(
-        "uguided: recovery. resumable=%d finished_journals=%d quarantined=%d"
-        " gced=%d\n",
+        "uguided: recovery. resumable=%" PRId64 " finished_journals=%" PRId64
+        " quarantined=%" PRId64 " gced=%" PRId64 "\n",
         recovery.resumable, recovery.finished, recovery.quarantined,
         recovery.gced);
   }
@@ -327,8 +327,9 @@ int main(int argc, char** argv) {
   const ReactorStats reactor = (*daemon)->reactor().stats();
   const JournalRecoveryStats recovery = (*daemon)->manager().recovery_stats();
   std::printf(
-      "uguided: done. opened=%d finished=%d evicted=%d refused=%d"
-      " storage_failed=%d quarantined=%d\n",
+      "uguided: done. opened=%" PRId64 " finished=%" PRId64
+      " evicted=%" PRId64 " refused=%" PRId64 " storage_failed=%" PRId64
+      " quarantined=%" PRId64 "\n",
       stats.opened, stats.finished, stats.evicted, stats.refused,
       stats.storage_failed, recovery.quarantined);
   std::printf(
