@@ -8,7 +8,12 @@
 // question is asked": a timing decorator around the simulated expert
 // records the gap between consecutive questions, so per-session setup
 // (candidate generation, graph construction) and finalization (sample FD
-// discovery, evaluation) are excluded.
+// discovery, evaluation) are excluded. A second table reports the time
+// from the start of the run to the first question, which is where a
+// strategy's own setup (graph build, question pool) lands.
+//
+// The table sizes are 1K..8K tuples; --rows=N above 8000 adds an N-tuple
+// point (paper scale: --rows=100000).
 
 #include <chrono>
 #include <memory>
@@ -25,7 +30,8 @@ using Clock = std::chrono::steady_clock;
 // Delegates to the real expert while recording inter-question gaps.
 class TimingExpert : public Expert {
  public:
-  explicit TimingExpert(Expert* inner) : inner_(inner) {}
+  explicit TimingExpert(Expert* inner)
+      : inner_(inner), start_(Clock::now()) {}
 
   Answer IsCellErroneous(const Cell& cell) override {
     Stamp();
@@ -45,27 +51,42 @@ class TimingExpert : public Expert {
     return gaps_ == 0 ? 0.0 : total_ms_ / gaps_;
   }
 
+  /// Milliseconds from construction to the first question (0 if none).
+  double FirstQuestionMs() const { return first_ms_; }
+
  private:
   void Stamp() {
     const Clock::time_point now = Clock::now();
     if (has_last_) {
-      total_ms_ +=
-          std::chrono::duration<double, std::milli>(now - last_).count();
+      total_ms_ += MsBetween(last_, now);
       ++gaps_;
+    } else {
+      first_ms_ = MsBetween(start_, now);
     }
     last_ = now;
     has_last_ = true;
   }
 
+  static double MsBetween(Clock::time_point from, Clock::time_point to) {
+    return std::chrono::duration<double, std::milli>(to - from).count();
+  }
+
   Expert* inner_;
+  Clock::time_point start_;
   Clock::time_point last_;
+  double first_ms_ = 0;
   bool has_last_ = false;
   double total_ms_ = 0;
   int gaps_ = 0;
 };
 
-double MsPerInteraction(const Session& session, Strategy& strategy,
-                        double budget) {
+struct Interaction {
+  double first_ms;
+  double gap_ms;
+};
+
+Interaction MsPerInteraction(const Session& session, Strategy& strategy,
+                             double budget) {
   SimulatedExpert inner(&session.true_violations(), &session.truth(),
                         session.dirty().NumAttributes(), session.true_fds());
   TimingExpert timed(&inner);
@@ -79,7 +100,7 @@ double MsPerInteraction(const Session& session, Strategy& strategy,
   ctx.true_violations = &session.true_violations();
   ctx.injected = &session.truth();
   strategy.Run(ctx);
-  return timed.MeanGapMs();
+  return {timed.FirstQuestionMs(), timed.MeanGapMs()};
 }
 
 }  // namespace
@@ -102,26 +123,38 @@ int main(int argc, char** argv) {
   std::vector<std::string> names;
   for (const Algo& algo : algos) names.push_back(algo.name);
 
-  const std::vector<int> row_counts = {1000, 2000, 4000, 8000};
+  std::vector<int> row_counts = {1000, 2000, 4000, 8000};
+  if (params.rows > row_counts.back()) row_counts.push_back(params.rows);
 
-  std::printf("\n-- ms between consecutive questions vs #tuples --\n");
-  std::printf("%-10s", "#tuples");
-  for (const auto& name : names) std::printf(" %14s", name.c_str());
-  std::printf("\n");
-
+  std::vector<std::vector<Interaction>> measured;
   for (int rows : row_counts) {
     BenchParams scaled = params;
     scaled.rows = rows;
     Session session = MakeSession(Dataset::kTax, scaled,
                                   ErrorModel::kSystematic, 0.20, 1.0, 0.0,
                                   /*seed=*/0);
-    std::printf("%-10d", rows);
+    measured.emplace_back();
     for (Algo& algo : algos) {
       MsPerInteraction(session, *algo.strategy, budget);  // warm-up
-      std::printf(" %14.3f",
-                  MsPerInteraction(session, *algo.strategy, budget));
+      measured.back().push_back(
+          MsPerInteraction(session, *algo.strategy, budget));
     }
+  }
+
+  for (bool first : {false, true}) {
+    std::printf("\n-- ms %s vs #tuples --\n",
+                first ? "to the first question"
+                      : "between consecutive questions");
+    std::printf("%-10s", "#tuples");
+    for (const auto& name : names) std::printf(" %14s", name.c_str());
     std::printf("\n");
+    for (size_t i = 0; i < row_counts.size(); ++i) {
+      std::printf("%-10d", row_counts[i]);
+      for (const Interaction& m : measured[i]) {
+        std::printf(" %14.3f", first ? m.first_ms : m.gap_ms);
+      }
+      std::printf("\n");
+    }
   }
   return 0;
 }

@@ -166,6 +166,71 @@ void BM_GraphBuildEngineCold(benchmark::State& state) {
 BENCHMARK(BM_GraphBuildEngineCold)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
+// --- Detection evaluation ----------------------------------------------------
+
+// Tax@5000 with the accepted-set shape of Sampling-Saturation's Finish: the
+// exact FDs TANE finds on a 20-row sample (every 250th row), hundreds of
+// FDs whose violating cells cover most of the table. Built once.
+struct DetectionFixture {
+  FdSet accepted;
+  TrueViolationSet truth;
+};
+
+const DetectionFixture& TaxDetections() {
+  static DetectionFixture* fixture = [] {
+    const TaxFixture& tax = TaxAtScale(5000);
+    std::vector<TupleId> sample;
+    for (TupleId r = 0; r < tax.dirty.NumRows(); r += 250) sample.push_back(r);
+    TaneOptions tane;
+    tane.max_error = 0.0;
+    tane.max_lhs_size = 3;
+    FdSet accepted =
+        DiscoverFds(tax.dirty.SelectRows(sample), tane).ValueOrDie();
+    return new DetectionFixture{
+        std::move(accepted),
+        TrueViolationSet::Compute(tax.dirty, tax.candidates)};
+  }();
+  return *fixture;
+}
+
+// EvaluateDetections as a session's Finish runs it, over a fresh engine per
+// iteration so partition building is inside the timing, as it is for the
+// hash reference below.
+void BM_EvaluateDetectionsEngine(benchmark::State& state) {
+  const TaxFixture& tax = TaxAtScale(5000);
+  const DetectionFixture& det = TaxDetections();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        EvaluateDetections(tax.dirty, det.accepted, det.truth));
+  }
+  state.counters["accepted_fds"] =
+      benchmark::Counter(static_cast<double>(det.accepted.Size()));
+}
+BENCHMARK(BM_EvaluateDetectionsEngine)->Unit(benchmark::kMillisecond);
+
+// Reference: the union of the hash-grouping detector's ViolatingCells per
+// accepted FD in a CellBitmap, scored the same way.
+void BM_EvaluateDetectionsHashReference(benchmark::State& state) {
+  const TaxFixture& tax = TaxAtScale(5000);
+  const DetectionFixture& det = TaxDetections();
+  for (auto _ : state) {
+    CellBitmap seen(tax.dirty.NumRows(), tax.dirty.NumAttributes());
+    for (const Fd& fd : det.accepted) {
+      for (const Cell& cell : ViolatingCells(tax.dirty, fd)) seen.Insert(cell);
+    }
+    DetectionMetrics metrics;
+    seen.ForEach([&](const Cell& cell) {
+      ++metrics.detections;
+      ++(det.truth.Contains(cell) ? metrics.true_positives
+                                  : metrics.false_positives);
+    });
+    benchmark::DoNotOptimize(metrics);
+  }
+  state.counters["accepted_fds"] =
+      benchmark::Counter(static_cast<double>(det.accepted.Size()));
+}
+BENCHMARK(BM_EvaluateDetectionsHashReference)->Unit(benchmark::kMillisecond);
+
 // --- Partition product: CSR vs nested-vector reference -----------------------
 
 // The pre-CSR product (nested-vector layout), reproduced inline as the

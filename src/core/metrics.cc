@@ -12,7 +12,8 @@ CellBitmap DetectionBitmap(ViolationEngine& engine, const FdSet& accepted) {
   const Relation& relation = engine.relation();
   CellBitmap seen(relation.NumRows(), relation.NumAttributes());
   for (const Fd& fd : accepted) {
-    for (const Cell& cell : engine.ViolatingCells(fd)) seen.Insert(cell);
+    engine.ForEachViolatingRow(
+        fd, [&](TupleId r) { seen.Insert(Cell{r, fd.rhs}); });
   }
   return seen;
 }

@@ -145,10 +145,10 @@ TrueViolationSet TrueViolationSet::Compute(ViolationEngine& engine,
   set.cells_ = CellBitmap(relation.NumRows(), relation.NumAttributes());
   set.row_violates_.assign(static_cast<size_t>(relation.NumRows()), false);
   for (const Fd& fd : fds) {
-    for (const Cell& cell : engine.ViolatingCells(fd)) {
-      if (set.cells_.Insert(cell)) ++set.size_;
-      set.row_violates_[static_cast<size_t>(cell.row)] = true;
-    }
+    engine.ForEachViolatingRow(fd, [&](TupleId r) {
+      if (set.cells_.Insert(Cell{r, fd.rhs})) ++set.size_;
+      set.row_violates_[static_cast<size_t>(r)] = true;
+    });
   }
   return set;
 }

@@ -1,20 +1,27 @@
 #include "violations/violation_engine.h"
 
-#include <algorithm>
+#include "common/bitmap.h"
 
 namespace uguide {
 
 namespace {
 
-// True iff the class holds at least two distinct codes in `codes`. Classes
-// always have >= 2 members (stripped partition invariant).
-bool ClassIsImpure(const std::vector<ValueCode>& codes,
-                   Partition::ClassView cls) {
-  const ValueCode first = codes[static_cast<size_t>(cls[0])];
-  for (size_t i = 1; i < cls.size(); ++i) {
-    if (codes[static_cast<size_t>(cls[i])] != first) return true;
-  }
-  return false;
+// The rows `for_each` yields (each at most once) as ascending `make(row)`s:
+// a word scan of a row bitmap replaces a sort of the class-order output.
+template <typename T, typename ForEach, typename Make>
+std::vector<T> Ascending(TupleId num_rows, const ForEach& for_each,
+                         const Make& make) {
+  Bitmap rows(static_cast<size_t>(num_rows));
+  size_t count = 0;
+  for_each([&](TupleId r) {
+    rows.TestAndSet(static_cast<size_t>(r));
+    ++count;
+  });
+  std::vector<T> out;
+  out.reserve(count);
+  rows.ForEachSetBit(
+      [&](size_t r) { out.push_back(make(static_cast<TupleId>(r))); });
+  return out;
 }
 
 // Appends the g3-minority rows of one LHS class to `out`. Mirrors the
@@ -86,27 +93,17 @@ std::shared_ptr<const Partition> ViolationEngine::LhsPartition(
 }
 
 std::vector<TupleId> ViolationEngine::ViolatingTuples(const Fd& fd) {
-  UGUIDE_CHECK(fd.IsValidShape());
-  UGUIDE_CHECK(fd.rhs < relation_->NumAttributes());
-  const std::vector<ValueCode>& codes = relation_->ColumnCodes(fd.rhs);
-  std::shared_ptr<const Partition> lhs = LhsPartition(fd.lhs);
-  std::vector<TupleId> out;
-  for (size_t i = 0; i < lhs->NumClasses(); ++i) {
-    const Partition::ClassView cls = lhs->Class(i);
-    if (ClassIsImpure(codes, cls)) {
-      out.insert(out.end(), cls.begin(), cls.end());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return Ascending<TupleId>(
+      relation_->NumRows(),
+      [&](const auto& emit) { ForEachViolatingRow(fd, emit); },
+      [](TupleId r) { return r; });
 }
 
 std::vector<Cell> ViolationEngine::ViolatingCells(const Fd& fd) {
-  std::vector<TupleId> rows = ViolatingTuples(fd);
-  std::vector<Cell> cells;
-  cells.reserve(rows.size());
-  for (TupleId r : rows) cells.push_back(Cell{r, fd.rhs});
-  return cells;
+  return Ascending<Cell>(
+      relation_->NumRows(),
+      [&](const auto& emit) { ForEachViolatingRow(fd, emit); },
+      [&](TupleId r) { return Cell{r, fd.rhs}; });
 }
 
 template <typename RowFn>
@@ -127,18 +124,17 @@ void ViolationEngine::ForEachG3RemovalRow(const Fd& fd, const RowFn& fn) {
 }
 
 std::vector<TupleId> ViolationEngine::G3RemovalTuples(const Fd& fd) {
-  std::vector<TupleId> out;
-  ForEachG3RemovalRow(fd, [&](TupleId r) { out.push_back(r); });
-  std::sort(out.begin(), out.end());
-  return out;
+  return Ascending<TupleId>(
+      relation_->NumRows(),
+      [&](const auto& emit) { ForEachG3RemovalRow(fd, emit); },
+      [](TupleId r) { return r; });
 }
 
 std::vector<Cell> ViolationEngine::G3RemovalCells(const Fd& fd) {
-  std::vector<TupleId> rows = G3RemovalTuples(fd);
-  std::vector<Cell> cells;
-  cells.reserve(rows.size());
-  for (TupleId r : rows) cells.push_back(Cell{r, fd.rhs});
-  return cells;
+  return Ascending<Cell>(
+      relation_->NumRows(),
+      [&](const auto& emit) { ForEachG3RemovalRow(fd, emit); },
+      [&](TupleId r) { return Cell{r, fd.rhs}; });
 }
 
 size_t ViolationEngine::G3RemovalCount(const Fd& fd) {
@@ -148,14 +144,9 @@ size_t ViolationEngine::G3RemovalCount(const Fd& fd) {
 }
 
 bool ViolationEngine::HasViolations(const Fd& fd) {
-  UGUIDE_CHECK(fd.IsValidShape());
-  UGUIDE_CHECK(fd.rhs < relation_->NumAttributes());
-  const std::vector<ValueCode>& codes = relation_->ColumnCodes(fd.rhs);
-  std::shared_ptr<const Partition> lhs = LhsPartition(fd.lhs);
-  for (size_t i = 0; i < lhs->NumClasses(); ++i) {
-    if (ClassIsImpure(codes, lhs->Class(i))) return true;
-  }
-  return false;
+  bool found = false;
+  ForEachViolatingRow(fd, [&](TupleId) { found = true; });
+  return found;
 }
 
 std::vector<int> ViolationEngine::ViolationCountPerTuple(const FdSet& fds) {

@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/check.h"
 #include "common/memory_budget.h"
 #include "discovery/partition.h"
 #include "fd/fd.h"
@@ -30,9 +31,10 @@ namespace uguide {
 /// Output contract: every query returns results byte-identical to the
 /// reference detector. Stripped classes list rows in ascending order and
 /// singleton classes can neither be impure nor contribute minority rows,
-/// so impurity tests, first-seen majority tie-breaks, and the final sorted
-/// row/cell vectors coincide exactly; the randomized equivalence suite in
-/// tests/violation_engine_test.cc enforces this.
+/// so impurity tests, first-seen majority tie-breaks, and the ascending
+/// row/cell vectors (a word scan of a row bitmap, not a sort) coincide
+/// exactly; the randomized equivalence suite in
+/// tests/violation_engine_test.cc and fuzz_violation_engine enforce this.
 ///
 /// Thread safety: all methods are safe to call concurrently (the store is
 /// internally locked, counters are atomic); the parallel
@@ -45,6 +47,25 @@ class ViolationEngine {
                            MemoryBudget* budget = nullptr);
 
   const Relation& relation() const { return *relation_; }
+
+  /// Calls `fn(row)` once for every row participating in a violating pair
+  /// of `fd` -- each row of an impure class of pi(LHS) -- in class order;
+  /// sorts nothing and allocates nothing of its own. The kernel behind
+  /// ViolatingTuples/ViolatingCells/HasViolations; order-insensitive
+  /// consumers (detection unions, E_T) stream from it directly.
+  template <typename RowFn>
+  void ForEachViolatingRow(const Fd& fd, RowFn&& fn) {
+    UGUIDE_CHECK(fd.IsValidShape());
+    UGUIDE_CHECK(fd.rhs < relation_->NumAttributes());
+    const std::vector<ValueCode>& codes = relation_->ColumnCodes(fd.rhs);
+    std::shared_ptr<const Partition> lhs = LhsPartition(fd.lhs);
+    for (size_t i = 0; i < lhs->NumClasses(); ++i) {
+      const Partition::ClassView cls = lhs->Class(i);
+      if (ClassIsImpure(codes, cls)) {
+        for (TupleId r : cls) fn(r);
+      }
+    }
+  }
 
   /// Rows participating in a violating pair of `fd`, ascending.
   std::vector<TupleId> ViolatingTuples(const Fd& fd);
@@ -62,7 +83,7 @@ class ViolationEngine {
   /// |G3RemovalTuples(fd)| without materializing the sorted vector.
   size_t G3RemovalCount(const Fd& fd);
 
-  /// True iff `fd` has at least one violating pair (early-out class scan).
+  /// True iff `fd` has at least one violating pair; materializes nothing.
   bool HasViolations(const Fd& fd);
 
   /// For every tuple, the number of FDs in `fds` whose g3 removal set
@@ -92,8 +113,18 @@ class ViolationEngine {
   size_t partition_misses() const;
 
  private:
-  /// G3RemovalTuples without the final sort (class-order output), for
-  /// callers that only aggregate.
+  /// True iff the class holds at least two distinct codes in `codes`.
+  /// Classes always have >= 2 members (stripped partition invariant).
+  static bool ClassIsImpure(const std::vector<ValueCode>& codes,
+                            Partition::ClassView cls) {
+    const ValueCode first = codes[static_cast<size_t>(cls[0])];
+    for (size_t i = 1; i < cls.size(); ++i) {
+      if (codes[static_cast<size_t>(cls[i])] != first) return true;
+    }
+    return false;
+  }
+
+  /// G3RemovalTuples in class order, for callers that only aggregate.
   template <typename RowFn>
   void ForEachG3RemovalRow(const Fd& fd, const RowFn& fn);
 

@@ -16,6 +16,7 @@
 #include "core/candidate_gen.h"
 #include "core/cell_strategies.h"
 #include "core/fd_strategies.h"
+#include "core/metrics.h"
 #include "core/session.h"
 #include "core/tuple_strategies.h"
 #include "datagen/generators.h"
@@ -181,6 +182,70 @@ TEST(ViolationEngineTest, TrueViolationSetBitmapMatchesCellProbe) {
   }
   EXPECT_FALSE(set.TupleViolates(-1, rel.NumAttributes()));
   EXPECT_FALSE(set.TupleViolates(rel.NumRows(), rel.NumAttributes()));
+}
+
+// The rows ForEachViolatingRow yields, sorted: equal to the ascending
+// reference iff the kernel yields the reference's multiset.
+std::vector<TupleId> StreamedRows(ViolationEngine& engine, const Fd& fd) {
+  std::vector<TupleId> rows;
+  engine.ForEachViolatingRow(fd, [&](TupleId r) { rows.push_back(r); });
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(ViolationEngineTest, ForEachViolatingRowMatchesReferenceAsMultiset) {
+  // Row counts on both sides of the 64-bit word edges of the row bitmap
+  // behind the sorted outputs; EnumerateFds includes the empty LHS.
+  for (int rows : {0, 1, 63, 64, 65, 128}) {
+    Relation rel = MakeRandomRelation(static_cast<uint64_t>(rows) + 17, rows);
+    ViolationEngine engine(&rel);
+    for (const Fd& fd : EnumerateFds(rel.NumAttributes())) {
+      EXPECT_EQ(StreamedRows(engine, fd), ViolatingTuples(rel, fd))
+          << "rows=" << rows << " fd=" << fd.ToString();
+      ExpectEngineMatchesReference(engine, rel, fd);
+    }
+    // "key" (column 3) is all-distinct: its partition has no classes.
+    EXPECT_TRUE(StreamedRows(engine, Fd(AttributeSet::Single(3), 1)).empty());
+    // Under the empty LHS every row of an impure column violates.
+    EXPECT_EQ(StreamedRows(engine, Fd(AttributeSet(), 3)).size(),
+              rows >= 2 ? static_cast<size_t>(rows) : 0u);
+  }
+}
+
+TEST(ViolationEngineTest, DetectionUnionCoveringEveryCellMatchesReference) {
+  // The Sampling-Saturation shape: an accepted set whose violating cells
+  // cover the whole relation, so every cell's bit is set many times over.
+  Relation rel(Schema::Make({"a", "b", "c"}).ValueOrDie());
+  Rng rng(23);
+  for (int i = 0; i < 130; ++i) {
+    rel.AddRow({std::to_string(i % 2), std::to_string(rng.NextBounded(2)),
+                std::to_string(i % 3)});
+  }
+  FdSet accepted;
+  for (int rhs = 0; rhs < rel.NumAttributes(); ++rhs) {
+    accepted.Add(Fd(AttributeSet(), rhs));
+    for (int a = 0; a < rel.NumAttributes(); ++a) {
+      if (a != rhs) accepted.Add(Fd(AttributeSet::Single(a), rhs));
+    }
+  }
+  std::vector<Cell> every_cell;
+  for (TupleId r = 0; r < rel.NumRows(); ++r) {
+    for (int c = 0; c < rel.NumAttributes(); ++c) every_cell.push_back({r, c});
+  }
+  CellBitmap reference(rel.NumRows(), rel.NumAttributes());
+  for (const Fd& fd : accepted) {
+    for (const Cell& cell : ViolatingCells(rel, fd)) reference.Insert(cell);
+  }
+  ASSERT_EQ(reference.ToVector(), every_cell);
+
+  ViolationEngine engine(&rel);
+  EXPECT_EQ(AllDetections(engine, accepted), every_cell);
+  const TrueViolationSet set = TrueViolationSet::Compute(engine, accepted);
+  EXPECT_EQ(set.ToVector(), every_cell);
+  EXPECT_EQ(set.Size(), every_cell.size());
+  const DetectionMetrics metrics = EvaluateDetections(engine, accepted, set);
+  EXPECT_EQ(metrics.detections, every_cell.size());
+  EXPECT_EQ(metrics.true_positives, every_cell.size());
 }
 
 // --- CSR layout equivalence (DESIGN.md §14) -------------------------------
