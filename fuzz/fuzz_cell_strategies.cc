@@ -1,9 +1,11 @@
 // Differential fuzz target for the cell strategies. The input bytes decode
 // into a small relation, a candidate FD set, a budget, a SUMS recompute
 // interval and a scripted expert; CellQ-HS, CellQ-Greedy and CellQ-SUMS
-// then each run next to their full-rescan reference (tests/reference) on
-// the same context. Any difference in the accepted FDs, the cost spent, the
-// number of questions asked or the sequence of asked cells traps.
+// then each run next to their full-rescan reference (tests/reference),
+// once building their own graph and once reading one prebuilt graph that
+// all three share. Any difference from the reference in the accepted FDs,
+// the cost spent, the number of questions asked or the sequence of asked
+// cells traps.
 //
 // Layout (a missing byte reads as 0):
 //   rows (1..32), columns (2..6), alphabet (1..4), one value byte per cell,
@@ -22,6 +24,7 @@
 #include "oracle/expert.h"
 #include "reference/reference_cell_strategies.h"
 #include "relation/relation.h"
+#include "violations/bipartite_graph.h"
 
 namespace {
 
@@ -114,27 +117,43 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   options.sums_recompute_interval = (in.Next() & 1) != 0 ? 1 : 20;
   const std::vector<uint8_t> script = in.Rest();
 
+  // One prebuilt graph that every shipped strategy below reads in place,
+  // in turn, as a DatasetRegistry artifact is read by its sessions.
+  const uguide::ViolationGraph shared =
+      uguide::ViolationGraph::Build(relation, candidates);
+
   using Factory =
       std::unique_ptr<uguide::Strategy> (*)(const uguide::CellStrategyOptions&);
+  struct Run {
+    uguide::StrategyResult result;
+    std::vector<uguide::Cell> asked;
+  };
+  const auto run = [&](Factory make, const uguide::ViolationGraph* graph) {
+    ScriptedExpert expert(script);
+    uguide::QuestionContext ctx;
+    ctx.dirty = &relation;
+    ctx.candidates = &candidates;
+    ctx.expert = &expert;
+    ctx.budget = budget;
+    ctx.graph = graph;
+    Run out;
+    out.result = make(options)->Run(ctx);
+    out.asked = expert.asked();
+    return out;
+  };
+  const auto same = [](const Run& a, const Run& b) {
+    return SameResult(a.result, b.result) && a.asked == b.asked;
+  };
+
   const Factory pairs[][2] = {
       {uguide::MakeCellQHittingSet, uguide::MakeReferenceCellQHittingSet},
       {uguide::MakeCellQGreedy, uguide::MakeReferenceCellQGreedy},
       {uguide::MakeCellQSums, uguide::MakeReferenceCellQSums},
   };
   for (const auto& pair : pairs) {
-    uguide::StrategyResult results[2];
-    std::vector<uguide::Cell> asked[2];
-    for (int i = 0; i < 2; ++i) {
-      ScriptedExpert expert(script);
-      uguide::QuestionContext ctx;
-      ctx.dirty = &relation;
-      ctx.candidates = &candidates;
-      ctx.expert = &expert;
-      ctx.budget = budget;
-      results[i] = pair[i](options)->Run(ctx);
-      asked[i] = expert.asked();
-    }
-    if (!SameResult(results[0], results[1]) || asked[0] != asked[1]) {
+    const Run want = run(pair[1], nullptr);
+    if (!same(run(pair[0], nullptr), want) ||
+        !same(run(pair[0], &shared), want)) {
       __builtin_trap();
     }
   }

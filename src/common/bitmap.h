@@ -11,9 +11,9 @@ namespace uguide {
 ///
 /// Bit i lives in word i / 64 at position i % 64. Bits at or past the size
 /// are always zero, so ForEachSetBit never yields a phantom id. The one
-/// bitmap mechanism of the hot core: the violation graph's active flags
-/// and the cell sets indexed `row * num_attributes + col` (CellBitmap,
-/// DESIGN.md §14) are both built on it.
+/// bitmap mechanism of the hot core: a run's ActiveSet flags over the
+/// violation graph and the cell sets indexed `row * num_attributes + col`
+/// (CellBitmap, DESIGN.md §14) are both built on it.
 class Bitmap {
  public:
   Bitmap() = default;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -15,26 +16,32 @@ namespace uguide {
 
 namespace {
 
-// Shared working state for one cell-strategy run. The graph is built
-// through the session's shared violation engine (or a private fallback)
-// and, when the context carries a pool, in parallel — bit-identical to
-// the serial build either way. When the context carries a prebuilt shared
-// graph (a DatasetRegistry artifact over the same candidate set), the run
-// copies it instead: the copy is the run's private mutable state (answers
-// deactivate nodes), while the expensive build is paid once per dataset.
+// Shared working state for one cell-strategy run. The run reads the
+// context's prebuilt shared graph (a DatasetRegistry artifact or a live
+// epoch's graph over the same candidate set) in place; without one it
+// builds a private graph through the session's shared violation engine
+// (or a private fallback) and, when the context carries a pool, in
+// parallel -- bit-identical to the serial build either way. Answers
+// change only what the run owns: its ActiveSet, confidences and asked
+// flags.
 struct CellRun {
   CellRun(const QuestionContext& ctx, const CellStrategyOptions& options)
       : engine(ctx.engine, ctx.dirty),
         graph(ctx.graph != nullptr
                   ? *ctx.graph
-                  : ViolationGraph::Build(*engine, *ctx.candidates, ctx.pool)),
+                  : owned_graph.emplace(ViolationGraph::Build(
+                        *engine, *ctx.candidates, ctx.pool))),
+        active(graph),
         fd_conf(static_cast<size_t>(graph.NumFds()),
                 options.initial_confidence),
         asked(static_cast<size_t>(graph.NumCells()), false),
         seen(static_cast<size_t>(graph.NumCells()), false) {}
 
   EngineRef engine;
-  ViolationGraph graph;
+  // The run's private build when the context shares no graph.
+  std::optional<ViolationGraph> owned_graph;
+  const ViolationGraph& graph;
+  ActiveSet active;
   std::vector<double> fd_conf;
   std::vector<bool> asked;
 
@@ -43,16 +50,16 @@ struct CellRun {
     double sum = 0.0;
     int count = 0;
     for (FdId f : graph.FdsOfCell(c)) {
-      if (!graph.FdActive(f)) continue;
+      if (!active.FdActive(f)) continue;
       sum += fd_conf[static_cast<size_t>(f)];
       ++count;
     }
     return count == 0 ? 0.0 : sum / count;
   }
 
+  // An active cell has an active flagging FD, hence a nonzero degree.
   bool Askable(CellId c) const {
-    return graph.CellActive(c) && !asked[static_cast<size_t>(c)] &&
-           graph.ActiveDegreeOfCell(c) > 0;
+    return !asked[static_cast<size_t>(c)] && active.CellActive(c);
   }
 
   // Calls `fn(c)` once for every askable cell flagged by some FD of `fds`:
@@ -76,7 +83,7 @@ struct CellRun {
   // threshold 0 accepts every surviving FD.
   FdSet Accept(double threshold) const {
     FdSet accepted;
-    graph.ForEachActiveFd([&](FdId f) {
+    active.ForEachActiveFd([&](FdId f) {
       if (fd_conf[static_cast<size_t>(f)] >= threshold) {
         accepted.Add(graph.fd(f));
       }
@@ -105,7 +112,7 @@ std::vector<FdId> ApplyAnswer(CellRun& run, CellId c, Answer answer,
       // an unchanged confidence cannot change any cell's score, so
       // rescoring its cells would push byte-identical heap entries.
       for (FdId f : run.graph.FdsOfCell(c)) {
-        if (run.graph.FdActive(f)) {
+        if (run.active.FdActive(f)) {
           double& conf = run.fd_conf[static_cast<size_t>(f)];
           const double bumped = std::min(1.0, conf + delta);
           if (bumped != conf) {
@@ -117,12 +124,12 @@ std::vector<FdId> ApplyAnswer(CellRun& run, CellId c, Answer answer,
       break;
     case Answer::kNo: {
       // Certified clean: every FD that called this an error is invalid.
-      // Copy the adjacency first -- DeactivateFd mutates the graph.
       for (FdId f : run.graph.FdsOfCell(c)) {
-        if (run.graph.FdActive(f)) affected.push_back(f);
+        if (!run.active.FdActive(f)) continue;
+        affected.push_back(f);
+        run.active.DeactivateFd(f);
       }
-      for (FdId f : affected) run.graph.DeactivateFd(f);
-      run.graph.DeactivateCell(c);
+      run.active.DeactivateCell(c);
       break;
     }
     case Answer::kIdk:
@@ -218,14 +225,14 @@ StrategyResult RunCellLoop(const QuestionContext& ctx,
 
 // Hitting-set rule (Algorithm 2): minimize weight / active-degree.
 double HittingSetScore(const CellRun& run, CellId c) {
-  return run.CellWeight(c) / run.graph.ActiveDegreeOfCell(c);
+  return run.CellWeight(c) / run.active.ActiveDegreeOfCell(c);
 }
 
 // Greedy rule (§7.1): maximize the number of flagging candidate FDs.
 // Negated so the min-heap selects the maximum; degrees are small integers,
 // exactly representable, so staleness equality is exact.
 double GreedyScore(const CellRun& run, CellId c) {
-  return -static_cast<double>(run.graph.ActiveDegreeOfCell(c));
+  return -static_cast<double>(run.active.ActiveDegreeOfCell(c));
 }
 
 // CellQ-HS and CellQ-Greedy: each round asks the askable cell with the
@@ -248,7 +255,7 @@ class HeapCellStrategy : public Strategy {
     // Word scan: only active cells are visited, and Askable implies active,
     // so seeding the heap over the bitmap matches the dense 0..NumCells
     // scan exactly (ascending, same entries).
-    run.graph.ForEachActiveCell([&](CellId c) {
+    run.active.ForEachActiveCell([&](CellId c) {
       if (run.Askable(c)) heap.Update(c, Score(run, c));
     });
     const auto askable = [&run](CellId c) { return run.Askable(c); };
@@ -296,13 +303,13 @@ class CellQOracle : public Strategy {
     const auto select = [&] {
       CellId best = -1;
       double best_payoff = 0.0;
-      run.graph.ForEachActiveCell([&](CellId c) {
+      run.active.ForEachActiveCell([&](CellId c) {
         if (!run.Askable(c)) return;
         double payoff = 0.0;
         const bool is_violation =
             ctx.true_violations->Contains(run.graph.cell(c));
         for (FdId f : run.graph.FdsOfCell(c)) {
-          if (!run.graph.FdActive(f)) continue;
+          if (!run.active.FdActive(f)) continue;
           if (!is_violation) {
             payoff += is_true_fd[static_cast<size_t>(f)] ? 0.0 : 1.0;
           } else if (is_true_fd[static_cast<size_t>(f)] &&
@@ -408,7 +415,7 @@ class CellQSums : public Strategy {
     const auto estimate = [&] {
       EstimateConfidence(run, cell_conf, pinned, state);
       heap.Rebuild([&](const auto& push) {
-        run.graph.ForEachActiveCell([&](CellId c) {
+        run.active.ForEachActiveCell([&](CellId c) {
           if (!run.Askable(c)) return;
           const double s = score(c);
           if (s > 0.0) push(c, -s);
@@ -423,7 +430,7 @@ class CellQSums : public Strategy {
       // hunting false positives instead: ask the least trusted violation,
       // whose "no" answer invalidates its flagging FDs.
       double lowest = 2.0;
-      run.graph.ForEachActiveCell([&](CellId c) {
+      run.active.ForEachActiveCell([&](CellId c) {
         if (!run.Askable(c)) return;
         if (cell_conf[static_cast<size_t>(c)] < lowest) {
           best = c;
@@ -447,7 +454,7 @@ class CellQSums : public Strategy {
           // The pinned cell's value feeds its flagging FDs' averages.
           state.MarkFdsOfCell(run.graph, best);
           for (FdId f : run.graph.FdsOfCell(best)) {
-            if (run.graph.FdActive(f)) {
+            if (run.active.FdActive(f)) {
               double& conf = evidence[static_cast<size_t>(f)];
               const double bumped = std::min(1.0, conf + options_.delta);
               if (bumped != conf) {
@@ -459,10 +466,11 @@ class CellQSums : public Strategy {
           break;
         case Answer::kNo: {
           for (FdId f : run.graph.FdsOfCell(best)) {
-            if (run.graph.FdActive(f)) affected.push_back(f);
+            if (!run.active.FdActive(f)) continue;
+            affected.push_back(f);
+            run.active.DeactivateFd(f);
           }
-          for (FdId f : affected) run.graph.DeactivateFd(f);
-          run.graph.DeactivateCell(best);
+          run.active.DeactivateCell(best);
           // Deactivated FDs drop to score 0 and leave their cells' sums.
           for (FdId f : affected) {
             state.fd_stale[static_cast<size_t>(f)] = 1;
@@ -493,7 +501,7 @@ class CellQSums : public Strategy {
     // Accept like Algorithm 2, from the evidence confidences.
     FdSet accepted;
     for (FdId f = 0; f < run.graph.NumFds(); ++f) {
-      if (run.graph.FdActive(f) &&
+      if (run.active.FdActive(f) &&
           evidence[static_cast<size_t>(f)] >=
               options_.sums_accept_threshold) {
         accepted.Add(run.graph.fd(f));
@@ -514,7 +522,7 @@ class CellQSums : public Strategy {
         1.0 - std::abs(2.0 * cell_conf[static_cast<size_t>(c)] - 1.0);
     double marginal = 0.0;
     for (FdId f : run.graph.FdsOfCell(c)) {
-      if (run.graph.FdActive(f)) {
+      if (run.active.FdActive(f)) {
         marginal += 1.0 - evidence[static_cast<size_t>(f)];
       }
     }
@@ -550,11 +558,11 @@ class CellQSums : public Strategy {
     std::vector<FdId> changed_fds;
     std::vector<CellId> changed_cells;
     const auto fd_score = [&](FdId f) {
-      if (!run.graph.FdActive(f)) return 0.0;
+      if (!run.active.FdActive(f)) return 0.0;
       double sum = 0.0;
       int count = 0;
       for (CellId c : run.graph.CellsOfFd(f)) {
-        if (!run.graph.CellActive(c)) continue;
+        if (!run.active.CellActive(c)) continue;
         sum += cell_conf[static_cast<size_t>(c)];
         ++count;
       }
@@ -563,7 +571,7 @@ class CellQSums : public Strategy {
     const auto cell_sum = [&](CellId c) {
       double sum = 0.0;
       for (FdId f : run.graph.FdsOfCell(c)) {
-        if (run.graph.FdActive(f)) {
+        if (run.active.FdActive(f)) {
           sum += run.fd_conf[static_cast<size_t>(f)];
         }
       }
@@ -616,14 +624,14 @@ class CellQSums : public Strategy {
         state.cell_all_stale = false;
         std::fill(state.cell_stale.begin(), state.cell_stale.end(), 0);
         for (CellId c = 0; c < num_cells; ++c) {
-          if (!run.graph.CellActive(c) || pinned[static_cast<size_t>(c)]) {
+          if (!run.active.CellActive(c) || pinned[static_cast<size_t>(c)]) {
             continue;
           }
           state.raw_cell[static_cast<size_t>(c)] = cell_sum(c);
         }
       } else {
         for (CellId c = 0; c < num_cells; ++c) {
-          if (!run.graph.CellActive(c) || pinned[static_cast<size_t>(c)]) {
+          if (!run.active.CellActive(c) || pinned[static_cast<size_t>(c)]) {
             continue;
           }
           if (!state.cell_stale[static_cast<size_t>(c)]) continue;
@@ -633,7 +641,7 @@ class CellQSums : public Strategy {
       }
       double max_cell = 0.0;
       for (CellId c = 0; c < num_cells; ++c) {
-        if (!run.graph.CellActive(c) || pinned[static_cast<size_t>(c)]) {
+        if (!run.active.CellActive(c) || pinned[static_cast<size_t>(c)]) {
           continue;
         }
         max_cell =
@@ -641,7 +649,7 @@ class CellQSums : public Strategy {
       }
       changed_cells.clear();
       for (CellId c = 0; c < num_cells; ++c) {
-        if (!run.graph.CellActive(c) || pinned[static_cast<size_t>(c)]) {
+        if (!run.active.CellActive(c) || pinned[static_cast<size_t>(c)]) {
           continue;
         }
         const double raw = state.raw_cell[static_cast<size_t>(c)];

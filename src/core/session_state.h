@@ -73,8 +73,9 @@ struct SessionStepOptions {
   /// number of machines may share one.
   ViolationEngine* engine = nullptr;
   /// Shared prebuilt violation graph for the same candidate set. Cell
-  /// strategies copy it instead of rebuilding (bit-identical: the artifact
-  /// was built by the same ViolationGraph::Build). Null = build per run.
+  /// strategies read it in place instead of rebuilding (bit-identical: it
+  /// was built by the same deterministic merge), so it must outlive the
+  /// machine. Null = build per run.
   const ViolationGraph* graph = nullptr;
   /// Identity of the data this run executes against, pinned into the
   /// journal header (`dhash=`/`dver=`) and stamped onto the report so

@@ -42,11 +42,12 @@ struct QuestionContext {
   /// any thread count.
   ThreadPool* pool = nullptr;
 
-  /// Prebuilt, immutable violation graph over `candidates` (a shared
-  /// DatasetRegistry artifact). Optional: cell strategies copy it instead
-  /// of rebuilding — bit-identical because the artifact was produced by
-  /// the same ViolationGraph::Build over the same candidate set. Null
-  /// means build per run, as standalone callers do.
+  /// Prebuilt violation graph over `candidates` (a shared DatasetRegistry
+  /// artifact or a live epoch's graph). Optional: cell strategies read it
+  /// in place instead of rebuilding — bit-identical because it was
+  /// produced by the same deterministic merge over the same candidate set
+  /// — and keep their answers in a per-run ActiveSet, so it must outlive
+  /// the run. Null means build per run, as standalone callers do.
   const ViolationGraph* graph = nullptr;
 
   /// Sigma_T, the exact FDs discovered on the dirty table. Optional; the

@@ -281,19 +281,26 @@ class TupleQOracle : public Strategy {
     std::vector<TupleId> sample;
 
     // A false FD X -> A is invalidated by the pair (t, t') when the tuples
-    // agree on X but not on A.
+    // agree on X but not on A. `agrees` holds t's agree sets with every
+    // sample tuple, computed once per candidate t.
+    std::vector<AttributeSet> agrees;
+    auto agree_with_sample = [&](TupleId t) {
+      agrees.clear();
+      for (TupleId other : sample) {
+        agrees.push_back(ctx.dirty->AgreeSet(t, other));
+      }
+    };
+    auto killed = [&](const Fd& fd) {
+      for (const AttributeSet& agree : agrees) {
+        if (fd.lhs.IsSubsetOf(agree) && !agree.Contains(fd.rhs)) return true;
+      }
+      return false;
+    };
     auto kills = [&](TupleId t) {
+      agree_with_sample(t);
       int count = 0;
       for (size_t i = 0; i < false_fds.size(); ++i) {
-        if (!false_alive[i]) continue;
-        for (TupleId other : sample) {
-          AttributeSet agree = ctx.dirty->AgreeSet(t, other);
-          if (false_fds[i].lhs.IsSubsetOf(agree) &&
-              !agree.Contains(false_fds[i].rhs)) {
-            ++count;
-            break;
-          }
-        }
+        if (false_alive[i] && killed(false_fds[i])) ++count;
       }
       return count;
     };
@@ -326,16 +333,9 @@ class TupleQOracle : public Strategy {
       ++result.questions_asked;
       if (answer != Answer::kYes) continue;  // IDK wastes the question
       // Retire the false FDs this tuple kills before adding it.
+      agree_with_sample(t);
       for (size_t i = 0; i < false_fds.size(); ++i) {
-        if (!false_alive[i]) continue;
-        for (TupleId other : sample) {
-          AttributeSet agree = ctx.dirty->AgreeSet(t, other);
-          if (false_fds[i].lhs.IsSubsetOf(agree) &&
-              !agree.Contains(false_fds[i].rhs)) {
-            false_alive[i] = false;
-            break;
-          }
-        }
+        if (false_alive[i] && killed(false_fds[i])) false_alive[i] = false;
       }
       sample.push_back(t);
     }

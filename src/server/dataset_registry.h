@@ -58,9 +58,10 @@ struct DatasetKey {
 ///
 /// Immutability contract: nothing here changes after construction.
 /// The engine is internally locked and its cached partitions are
-/// recomputable, so concurrent readers are safe; the graph's mutable
-/// active-flags are never touched on the shared copy — cell strategies
-/// copy the graph per run (QuestionContext::graph) and mutate the copy.
+/// recomputable, so concurrent readers are safe; the graph is immutable
+/// by type, and cell strategies read it in place
+/// (QuestionContext::graph), keeping their answers in a per-run
+/// ActiveSet.
 /// Consumers hold `shared_ptr<const DatasetArtifacts>`, keeping the bundle
 /// alive for as long as any session uses it; the registry drops its own
 /// reference under memory pressure (EvictIdle) and rebuilds on the next
@@ -87,7 +88,7 @@ struct DatasetArtifacts {
   /// Shared across sessions; thread-safe, partitions pre-warmed for every
   /// candidate LHS by the graph build below.
   const std::unique_ptr<ViolationEngine> engine;
-  /// Prebuilt over `session.candidates()`. Read-only here; copy to mutate.
+  /// Prebuilt over `session.candidates()`; every session reads it in place.
   const ViolationGraph graph;
   /// Bytes ForceCharged at build (graph + relation payloads).
   const size_t charged_bytes;
@@ -135,7 +136,7 @@ struct DatasetRegistryStats {
 /// dataset recipe, not on the session, so the registry computes it once
 /// and hands every session the same immutable DatasetArtifacts. Sessions
 /// keep only per-strategy mutable state (their fiber, journal, and — for
-/// cell strategies — a private copy of the graph).
+/// cell strategies — an ActiveSet over the shared graph).
 ///
 /// Singleflight: N concurrent Opens of the same recipe perform exactly one
 /// build; the rest block until it completes and share the result. Distinct

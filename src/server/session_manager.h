@@ -57,8 +57,8 @@ struct SessionManagerOptions {
   ViolationEngine* engine = nullptr;
 
   /// Shared prebuilt violation graph over the served candidate set; cell
-  /// strategies copy it per run instead of rebuilding. Null = build per
-  /// run.
+  /// strategies read it in place instead of rebuilding. Must outlive the
+  /// manager. Null = build per run.
   const ViolationGraph* graph = nullptr;
 
   /// Live mutation subsystem. When set, `op=mutate` applies batches here,

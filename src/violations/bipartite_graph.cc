@@ -16,28 +16,16 @@ size_t NextPow2(size_t n) {
   return p;
 }
 
+/// Borrows every vector in `per_fd` for the pointer-view Merge.
+std::vector<const std::vector<Cell>*> ViewsOf(
+    const std::vector<std::vector<Cell>>& per_fd) {
+  std::vector<const std::vector<Cell>*> views;
+  views.reserve(per_fd.size());
+  for (const auto& cells : per_fd) views.push_back(&cells);
+  return views;
+}
+
 }  // namespace
-
-size_t ViolationGraph::ProbeSlot(const Cell& cell) const {
-  size_t slot = CellHash{}(cell) & index_mask_;
-  while (true) {
-    const CellId id = index_slots_[slot];
-    if (id < 0 || cells_[static_cast<size_t>(id)] == cell) return slot;
-    slot = (slot + 1) & index_mask_;
-  }
-}
-
-void ViolationGraph::RebuildCellIndex() {
-  // Load factor <= 0.5: slots = pow2 >= 2 * cells. Insertion order does not
-  // affect the slot assignment's determinism — the table content is a pure
-  // function of the cell set and the probe sequence — but inserting in id
-  // order keeps the build itself deterministic too.
-  index_slots_.assign(NextPow2(cells_.size() * 2), -1);
-  index_mask_ = index_slots_.size() - 1;
-  for (CellId c = 0; c < NumCells(); ++c) {
-    index_slots_[ProbeSlot(cells_[static_cast<size_t>(c)])] = c;
-  }
-}
 
 // Assembles a graph from per-FD violation-cell vectors. Cells are
 // interned in FD order, so the result is a pure function of the inputs —
@@ -52,23 +40,27 @@ ViolationGraph ViolationGraph::Merge(
 
   // Pass 1: intern cells in FD order (first sighting assigns the id) and
   // emit the FD-side CSR in the same sweep — edges are already grouped by
-  // FD. The probe table is sized for the worst case (every edge a distinct
-  // cell) during interning and rebuilt right-sized afterwards.
+  // FD. The interning table is an open-addressed linear-probe array of
+  // CellIds (-1 empty), sized for the worst case (every edge a distinct
+  // cell) and dropped when the merge returns.
   g.fd_cell_offsets_.reserve(g.fds_.size() + 1);
   g.fd_cell_offsets_.push_back(0);
   g.fd_cell_edges_.reserve(total_edges);
-  g.index_slots_.assign(NextPow2(total_edges * 2), -1);
-  g.index_mask_ = g.index_slots_.size() - 1;
+  std::vector<CellId> slots(NextPow2(total_edges * 2), -1);
+  const size_t mask = slots.size() - 1;
   for (FdId f = 0; f < g.NumFds(); ++f) {
     for (const Cell& cell : *per_fd[static_cast<size_t>(f)]) {
-      const size_t slot = g.ProbeSlot(cell);
-      CellId c = g.index_slots_[slot];
-      if (c < 0) {
-        c = static_cast<CellId>(g.cells_.size());
-        g.index_slots_[slot] = c;
+      size_t slot = CellHash{}(cell) & mask;
+      while (slots[slot] >= 0 &&
+             !(g.cells_[static_cast<size_t>(slots[slot])] == cell)) {
+        slot = (slot + 1) & mask;
+      }
+      CellId& id = slots[slot];
+      if (id < 0) {
+        id = static_cast<CellId>(g.cells_.size());
         g.cells_.push_back(cell);
       }
-      g.fd_cell_edges_.push_back(c);
+      g.fd_cell_edges_.push_back(id);
     }
     g.fd_cell_offsets_.push_back(
         static_cast<uint32_t>(g.fd_cell_edges_.size()));
@@ -96,46 +88,8 @@ ViolationGraph ViolationGraph::Merge(
     }
   }
 
-  // Active state: everything starts live; both degree counters start at
-  // the full adjacency size.
-  g.fd_active_ = Bitmap(g.fds_.size(), true);
-  g.cell_active_ = Bitmap(g.cells_.size(), true);
-  g.fd_active_degree_.resize(g.fds_.size());
-  for (FdId f = 0; f < g.NumFds(); ++f) {
-    g.fd_active_degree_[static_cast<size_t>(f)] =
-        static_cast<int>(g.fd_cell_offsets_[static_cast<size_t>(f) + 1] -
-                         g.fd_cell_offsets_[static_cast<size_t>(f)]);
-  }
-  g.cell_active_degree_.resize(g.cells_.size());
-  for (CellId c = 0; c < g.NumCells(); ++c) {
-    g.cell_active_degree_[static_cast<size_t>(c)] =
-        static_cast<int>(g.cell_fd_offsets_[static_cast<size_t>(c) + 1] -
-                         g.cell_fd_offsets_[static_cast<size_t>(c)]);
-  }
-
-  // Right-size the probe table. When the worst-case table already has the
-  // right-sized capacity (common once duplicates across FDs are rare), the
-  // interning table IS the rebuilt one — both insert the same cells in id
-  // order under the same mask — so the full rehash is skipped. Either way
-  // the final table is the same pure function of the graph's content.
-  if (g.index_slots_.size() != NextPow2(g.cells_.size() * 2)) {
-    g.RebuildCellIndex();
-  }
   return g;
 }
-
-namespace {
-
-/// Borrows every vector in `per_fd` for the pointer-view Merge.
-std::vector<const std::vector<Cell>*> ViewsOf(
-    const std::vector<std::vector<Cell>>& per_fd) {
-  std::vector<const std::vector<Cell>*> views;
-  views.reserve(per_fd.size());
-  for (const auto& cells : per_fd) views.push_back(&cells);
-  return views;
-}
-
-}  // namespace
 
 ViolationGraph ViolationGraph::FromPerFdCells(
     std::vector<Fd> fds, const std::vector<std::vector<Cell>>& per_fd) {
@@ -176,61 +130,34 @@ ViolationGraph ViolationGraph::Build(ViolationEngine& engine,
   return Merge(std::move(fds), ViewsOf(per_fd));
 }
 
-void ViolationGraph::DeactivateFd(FdId f) {
-  Checked(f, NumFds());
-  if (!FdActive(f)) return;
-  fd_active_.Clear(static_cast<size_t>(f));
-  // Cells orphaned by this removal are no longer violations of anything.
-  // The cell-side degree is decremented unconditionally (it tracks active
-  // *FDs*, and this FD was active); the cascade to DeactivateCell keeps
-  // the FD-side degrees in sync.
-  for (CellId c : CellsOfFd(f)) {
-    int& degree = cell_active_degree_[static_cast<size_t>(c)];
-    --degree;
-    if (degree == 0 && CellActive(c)) DeactivateCell(c);
-  }
-}
-
-void ViolationGraph::DeactivateCell(CellId c) {
-  Checked(c, NumCells());
-  if (!CellActive(c)) return;
-  cell_active_.Clear(static_cast<size_t>(c));
-  // Keep per-FD active-cell counts exact. A cell deactivates at most once
-  // (guard above), so each adjacent FD is decremented exactly once per
-  // cell. Inactive FDs are updated too — harmless, since their
-  // ActiveDegreeOfFd reads 0 regardless.
-  for (FdId f : FdsOfCell(c)) {
-    --fd_active_degree_[static_cast<size_t>(f)];
-  }
-}
-
-std::vector<FdId> ViolationGraph::ActiveFds() const {
-  std::vector<FdId> out;
-  ForEachActiveFd([&](FdId f) { out.push_back(f); });
-  return out;
-}
-
-std::vector<CellId> ViolationGraph::ActiveCells() const {
-  std::vector<CellId> out;
-  ForEachActiveCell([&](CellId c) { out.push_back(c); });
-  return out;
-}
-
-CellId ViolationGraph::FindCell(const Cell& cell) const {
-  if (index_slots_.empty()) return -1;
-  return index_slots_[ProbeSlot(cell)];
-}
-
 size_t ViolationGraph::ApproxMemoryBytes() const {
   return fds_.size() * sizeof(Fd) + cells_.size() * sizeof(Cell) +
          fd_cell_offsets_.size() * sizeof(uint32_t) +
          fd_cell_edges_.size() * sizeof(CellId) +
          cell_fd_offsets_.size() * sizeof(uint32_t) +
-         cell_fd_edges_.size() * sizeof(FdId) +
-         fd_active_.MemoryBytes() + cell_active_.MemoryBytes() +
-         (fd_active_degree_.size() + cell_active_degree_.size()) *
-             sizeof(int) +
-         index_slots_.size() * sizeof(CellId);
+         cell_fd_edges_.size() * sizeof(FdId);
+}
+
+ActiveSet::ActiveSet(const ViolationGraph& graph)
+    : graph_(&graph),
+      fd_active_(static_cast<size_t>(graph.NumFds()), true),
+      cell_active_(static_cast<size_t>(graph.NumCells()), true),
+      cell_degree_(static_cast<size_t>(graph.NumCells())) {
+  for (CellId c = 0; c < graph.NumCells(); ++c) {
+    cell_degree_[static_cast<size_t>(c)] =
+        static_cast<int>(graph.FdsOfCell(c).size());
+  }
+}
+
+void ActiveSet::DeactivateFd(FdId f) {
+  if (!FdActive(f)) return;
+  fd_active_.Clear(static_cast<size_t>(f));
+  // Cells orphaned by this removal are no longer violations of anything.
+  // The degree counts active *FDs*, so it drops whether or not the cell is
+  // still active.
+  for (CellId c : graph_->CellsOfFd(f)) {
+    if (--cell_degree_[static_cast<size_t>(c)] == 0) DeactivateCell(c);
+  }
 }
 
 }  // namespace uguide

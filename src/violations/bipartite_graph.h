@@ -1,11 +1,13 @@
 #ifndef UGUIDE_VIOLATIONS_BIPARTITE_GRAPH_H_
 #define UGUIDE_VIOLATIONS_BIPARTITE_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/bitmap.h"
+#include "common/check.h"
 #include "common/span.h"
 #include "fd/fd.h"
 #include "relation/relation.h"
@@ -20,26 +22,32 @@ using FdId = int;
 /// Index of a violation (cell) node in a ViolationGraph.
 using CellId = int;
 
+/// `i` as an index, after checking it lies in [0, bound).
+inline size_t CheckedId(int i, int bound) {
+  UGUIDE_CHECK(i >= 0 && i < bound) << "graph index out of range";
+  return static_cast<size_t>(i);
+}
+
 /// \brief The bipartite FD <-> violation graph of §3.2.
 ///
 /// Left nodes are candidate FDs; right nodes are the cells they flag; an
-/// edge connects an FD to every cell in its g3 removal set. The interactive
-/// strategies deactivate nodes as the expert answers (an invalidated FD
-/// disappears together with cells only it flagged), so both sides carry
-/// active flags rather than being physically removed.
+/// edge connects an FD to every cell in its g3 removal set. The graph is
+/// fixed once the candidates are known and immutable by type: it has no
+/// non-const member and cannot be copied, so one build is read in place by
+/// every run over the same candidate set. What the expert's answers change
+/// (which nodes are still live) belongs to each run's ActiveSet.
 ///
 /// The adjacency is frozen CSR (DESIGN.md §14): both directions are stored
 /// as one flat edge array plus an offset array, built once in the
-/// deterministic Merge step and immutable afterwards — only the active
-/// state mutates. Active flags live in Bitmaps (common/bitmap.h) so selection
-/// scans iterate set bits branch-free (ForEachActiveFd/ForEachActiveCell),
-/// and both per-cell and per-FD active degrees are maintained
-/// incrementally, making every hot query of the strategy loops O(1).
-/// Cell lookup uses an open-addressed linear-probe table rebuilt
-/// right-sized after Merge, so the footprint reported by
-/// ApproxMemoryBytes() is a pure function of the graph's content.
+/// deterministic Merge step, so ApproxMemoryBytes() is a pure function of
+/// the graph's content.
 class ViolationGraph {
  public:
+  ViolationGraph(ViolationGraph&&) = default;
+  ViolationGraph& operator=(ViolationGraph&&) = default;
+  ViolationGraph(const ViolationGraph&) = delete;
+  ViolationGraph& operator=(const ViolationGraph&) = delete;
+
   /// Builds the graph for `candidates` over `relation`. FDs that flag no
   /// cell still get a node (with no edges) so FdIds align with the input
   /// set's order. Routes violation detection through a private
@@ -80,54 +88,88 @@ class ViolationGraph {
   int NumFds() const { return static_cast<int>(fds_.size()); }
   int NumCells() const { return static_cast<int>(cells_.size()); }
 
-  const Fd& fd(FdId f) const { return fds_[Checked(f, NumFds())]; }
-  const Cell& cell(CellId c) const { return cells_[Checked(c, NumCells())]; }
+  const Fd& fd(FdId f) const { return fds_[CheckedId(f, NumFds())]; }
+  const Cell& cell(CellId c) const {
+    return cells_[CheckedId(c, NumCells())];
+  }
 
   /// Cells flagged by an FD (edges from the left), in interning order.
   ConstSpan<CellId> CellsOfFd(FdId f) const {
-    const size_t i = static_cast<size_t>(Checked(f, NumFds()));
+    const size_t i = CheckedId(f, NumFds());
     return ConstSpan<CellId>(fd_cell_edges_.data() + fd_cell_offsets_[i],
                              fd_cell_offsets_[i + 1] - fd_cell_offsets_[i]);
   }
 
   /// FDs flagging a cell (edges from the right), ascending.
   ConstSpan<FdId> FdsOfCell(CellId c) const {
-    const size_t i = static_cast<size_t>(Checked(c, NumCells()));
+    const size_t i = CheckedId(c, NumCells());
     return ConstSpan<FdId>(cell_fd_edges_.data() + cell_fd_offsets_[i],
                            cell_fd_offsets_[i + 1] - cell_fd_offsets_[i]);
   }
 
+  /// Approximate heap footprint in bytes (container payloads at their
+  /// logical sizes, not allocator metadata — the MemoryBudget accounting
+  /// convention of DESIGN.md §8). A pure function of the graph content,
+  /// so the figure is identical across build paths and thread counts. The
+  /// DatasetRegistry charges shared graphs with this.
+  size_t ApproxMemoryBytes() const;
+
+ private:
+  ViolationGraph() = default;
+
+  /// Interns cells and wires adjacency from frozen per-FD cell vectors
+  /// (borrowed through raw pointers so both FromPerFdCells layouts share
+  /// it), in FD order — the deterministic merge step shared by every
+  /// build path.
+  static ViolationGraph Merge(
+      std::vector<Fd> fds,
+      const std::vector<const std::vector<Cell>*>& per_fd);
+
+  std::vector<Fd> fds_;
+  std::vector<Cell> cells_;
+  /// CSR adjacency, frozen at Merge: FD f's cells are
+  /// fd_cell_edges_[fd_cell_offsets_[f], fd_cell_offsets_[f+1]), and
+  /// symmetrically for cells. Offset arrays have N+1 entries.
+  std::vector<uint32_t> fd_cell_offsets_;
+  std::vector<CellId> fd_cell_edges_;
+  std::vector<uint32_t> cell_fd_offsets_;
+  std::vector<FdId> cell_fd_edges_;
+};
+
+/// \brief One run's live nodes of a ViolationGraph.
+///
+/// The interactive strategies deactivate nodes as the expert answers: an
+/// invalidated FD disappears together with the cells only it flagged, and
+/// a cell certified clean disappears on its own. Everything starts active.
+/// Flags live in Bitmaps (common/bitmap.h) so selection scans visit set
+/// bits only, and the per-cell count of active flagging FDs is kept
+/// incrementally, so every hot query of the strategy loops is O(1). The
+/// graph is read, never written, and must outlive the set.
+class ActiveSet {
+ public:
+  explicit ActiveSet(const ViolationGraph& graph);
+
   bool FdActive(FdId f) const {
-    return fd_active_.Test(static_cast<size_t>(Checked(f, NumFds())));
+    return fd_active_.Test(CheckedId(f, graph_->NumFds()));
   }
   bool CellActive(CellId c) const {
-    return cell_active_.Test(static_cast<size_t>(Checked(c, NumCells())));
+    return cell_active_.Test(CheckedId(c, graph_->NumCells()));
   }
 
-  /// Number of *active* FDs flagging cell `c`. O(1): maintained
-  /// incrementally as FDs are deactivated (the hot query of every
-  /// cell-strategy selection scan).
+  /// Number of active FDs flagging cell `c`; 0 once `c` is inactive.
   int ActiveDegreeOfCell(CellId c) const {
-    return CellActive(c) ? cell_active_degree_[Checked(c, NumCells())] : 0;
-  }
-
-  /// Number of *active* cells flagged by FD `f`. O(1): maintained
-  /// incrementally as cells are deactivated, symmetric to
-  /// ActiveDegreeOfCell.
-  int ActiveDegreeOfFd(FdId f) const {
-    return FdActive(f) ? fd_active_degree_[Checked(f, NumFds())] : 0;
+    return CellActive(c) ? cell_degree_[static_cast<size_t>(c)] : 0;
   }
 
   /// Deactivates an FD; cells left with no active FD are deactivated too.
+  /// Idempotent.
   void DeactivateFd(FdId f);
 
-  /// Deactivates a single cell (e.g., the expert certified it clean or it
-  /// has been resolved). Idempotent.
-  void DeactivateCell(CellId c);
-
-  /// Ids of currently active FDs / cells, ascending.
-  std::vector<FdId> ActiveFds() const;
-  std::vector<CellId> ActiveCells() const;
+  /// Deactivates a single cell (e.g., the expert certified it clean).
+  /// Idempotent.
+  void DeactivateCell(CellId c) {
+    cell_active_.Clear(CheckedId(c, graph_->NumCells()));
+  }
 
   /// Calls `fn(FdId)` for every active FD, ascending. Branch-free word
   /// scan over the active bitmap: only set bits are visited, so sparse
@@ -143,60 +185,13 @@ class ViolationGraph {
     cell_active_.ForEachSetBit([&](size_t c) { fn(static_cast<CellId>(c)); });
   }
 
-  /// Looks up the node for `cell`; returns -1 when the cell is not a
-  /// violation node.
-  CellId FindCell(const Cell& cell) const;
-
-  /// Approximate heap footprint in bytes (container payloads at their
-  /// logical sizes, not allocator metadata — the MemoryBudget accounting
-  /// convention of DESIGN.md §8). A pure function of the graph content:
-  /// every array, including the right-sized probe table, is fully
-  /// determined by the merged input, so the figure is identical across
-  /// build paths and thread counts. The DatasetRegistry charges shared
-  /// graphs with this.
-  size_t ApproxMemoryBytes() const;
-
  private:
-  ViolationGraph() = default;
-
-  /// Interns cells and wires adjacency from frozen per-FD cell vectors
-  /// (borrowed through raw pointers so both FromPerFdCells layouts share
-  /// it), in FD order — the deterministic merge step shared by every
-  /// build path.
-  static ViolationGraph Merge(
-      std::vector<Fd> fds,
-      const std::vector<const std::vector<Cell>*>& per_fd);
-
-  static int Checked(int i, int bound) {
-    UGUIDE_CHECK(i >= 0 && i < bound) << "graph index out of range";
-    return i;
-  }
-
-  /// Rebuilds the open-addressed cell index right-sized for cells_.
-  void RebuildCellIndex();
-  /// Probe slot for `cell`: its slot if interned, else the empty slot
-  /// where it would go.
-  size_t ProbeSlot(const Cell& cell) const;
-
-  std::vector<Fd> fds_;
-  std::vector<Cell> cells_;
-  /// CSR adjacency, frozen at Merge: FD f's cells are
-  /// fd_cell_edges_[fd_cell_offsets_[f], fd_cell_offsets_[f+1]), and
-  /// symmetrically for cells. Offset arrays have N+1 entries.
-  std::vector<uint32_t> fd_cell_offsets_;
-  std::vector<CellId> fd_cell_edges_;
-  std::vector<uint32_t> cell_fd_offsets_;
-  std::vector<FdId> cell_fd_edges_;
-  /// Active flags: bit i is node i's.
+  const ViolationGraph* graph_;
+  /// Bit i is node i's flag.
   Bitmap fd_active_;
   Bitmap cell_active_;
-  std::vector<int> fd_active_degree_;
-  std::vector<int> cell_active_degree_;
-  /// Open-addressed linear-probe cell lookup: power-of-two slot array of
-  /// CellIds (-1 empty), keys compared against cells_. Rebuilt right-sized
-  /// after Merge for a deterministic footprint.
-  std::vector<CellId> index_slots_;
-  size_t index_mask_ = 0;
+  /// Active FDs flagging each cell, whether or not the cell is active.
+  std::vector<int> cell_degree_;
 };
 
 }  // namespace uguide

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -12,37 +13,62 @@ namespace uguide {
 
 namespace {
 
-// One reference run: a private copy of the graph the shipped strategies
-// run on (the context's shared artifact, else a fresh Build), Algorithm 2's
-// FD confidences and the asked flags.
+// One reference run: the graph the shipped strategies run on (the
+// context's shared artifact, read in place, else a fresh Build), Algorithm
+// 2's FD confidences and the asked flags. Activity is kept by definition
+// and shares nothing with the shipped ActiveSet: an FD is active until a
+// "no" answer invalidates it, and a cell's active degree is a rescan of
+// its active flagging FDs, or 0 once the expert certified it clean. A
+// cell is active iff that degree is positive.
 struct RescanRun {
   RescanRun(const QuestionContext& ctx, double initial_confidence)
       : engine(ctx.engine, ctx.dirty),
         graph(ctx.graph != nullptr
                   ? *ctx.graph
-                  : ViolationGraph::Build(*engine, *ctx.candidates, ctx.pool)),
+                  : owned_graph.emplace(ViolationGraph::Build(
+                        *engine, *ctx.candidates, ctx.pool))),
+        fd_active(static_cast<size_t>(graph.NumFds()), true),
+        clean(static_cast<size_t>(graph.NumCells()), false),
+        degree(static_cast<size_t>(graph.NumCells()), 0),
         confidence(static_cast<size_t>(graph.NumFds()), initial_confidence),
-        asked(static_cast<size_t>(graph.NumCells()), false) {}
-
-  bool Askable(CellId c) const {
-    return graph.CellActive(c) && !asked[static_cast<size_t>(c)] &&
-           graph.ActiveDegreeOfCell(c) > 0;
+        asked(static_cast<size_t>(graph.NumCells()), false) {
+    Rescan();
   }
 
-  // "No": every active FD flagging `c` is invalid, and `c` is clean.
-  void Invalidate(CellId c) {
-    std::vector<FdId> flagging;
-    for (FdId f : graph.FdsOfCell(c)) {
-      if (graph.FdActive(f)) flagging.push_back(f);
+  bool FdActive(FdId f) const { return fd_active[static_cast<size_t>(f)]; }
+  int ActiveDegree(CellId c) const { return degree[static_cast<size_t>(c)]; }
+  bool CellActive(CellId c) const { return ActiveDegree(c) > 0; }
+
+  bool Askable(CellId c) const {
+    return !asked[static_cast<size_t>(c)] && CellActive(c);
+  }
+
+  // Recomputes every cell's degree from the flags, in full. The flags
+  // move only in Invalidate, which calls this after every change.
+  void Rescan() {
+    std::fill(degree.begin(), degree.end(), 0);
+    for (FdId f = 0; f < graph.NumFds(); ++f) {
+      if (!FdActive(f)) continue;
+      for (CellId c : graph.CellsOfFd(f)) ++degree[static_cast<size_t>(c)];
     }
-    for (FdId f : flagging) graph.DeactivateFd(f);
-    graph.DeactivateCell(c);
+    for (CellId c = 0; c < graph.NumCells(); ++c) {
+      if (clean[static_cast<size_t>(c)]) degree[static_cast<size_t>(c)] = 0;
+    }
+  }
+
+  // "No": every FD flagging `c` is invalid, and `c` is clean.
+  void Invalidate(CellId c) {
+    for (FdId f : graph.FdsOfCell(c)) {
+      fd_active[static_cast<size_t>(f)] = false;
+    }
+    clean[static_cast<size_t>(c)] = true;
+    Rescan();
   }
 
   // "Yes": every active FD flagging `c` gains `delta`, capped at 1.
   void Confirm(CellId c, double delta, std::vector<double>& conf) const {
     for (FdId f : graph.FdsOfCell(c)) {
-      if (graph.FdActive(f)) {
+      if (FdActive(f)) {
         double& v = conf[static_cast<size_t>(f)];
         v = std::min(1.0, v + delta);
       }
@@ -53,7 +79,7 @@ struct RescanRun {
   FdSet Accept(const std::vector<double>& conf, double threshold) const {
     FdSet accepted;
     for (FdId f = 0; f < graph.NumFds(); ++f) {
-      if (graph.FdActive(f) && conf[static_cast<size_t>(f)] >= threshold) {
+      if (FdActive(f) && conf[static_cast<size_t>(f)] >= threshold) {
         accepted.Add(graph.fd(f));
       }
     }
@@ -61,7 +87,12 @@ struct RescanRun {
   }
 
   EngineRef engine;
-  ViolationGraph graph;
+  // The run's private build when the context shares no graph.
+  std::optional<ViolationGraph> owned_graph;
+  const ViolationGraph& graph;
+  std::vector<bool> fd_active;
+  std::vector<bool> clean;
+  std::vector<int> degree;
   std::vector<double> confidence;
   std::vector<bool> asked;
 };
@@ -110,12 +141,12 @@ class ReferenceCellQHittingSet : public Strategy {
       double sum = 0.0;
       int count = 0;
       for (FdId f : run.graph.FdsOfCell(c)) {
-        if (!run.graph.FdActive(f)) continue;
+        if (!run.FdActive(f)) continue;
         sum += run.confidence[static_cast<size_t>(f)];
         ++count;
       }
       const double weight = count == 0 ? 0.0 : sum / count;
-      return weight / run.graph.ActiveDegreeOfCell(c);
+      return weight / run.ActiveDegree(c);
     };
     const auto pick = [&] {
       CellId best = -1;
@@ -157,7 +188,7 @@ class ReferenceCellQGreedy : public Strategy {
       int best_degree = 0;
       for (CellId c = 0; c < run.graph.NumCells(); ++c) {
         if (!run.Askable(c)) continue;
-        const int degree = run.graph.ActiveDegreeOfCell(c);
+        const int degree = run.ActiveDegree(c);
         if (degree > best_degree) {
           best = c;
           best_degree = degree;
@@ -199,7 +230,7 @@ class ReferenceCellQSums : public Strategy {
           1.0 - std::abs(2.0 * cell_conf[static_cast<size_t>(c)] - 1.0);
       double marginal = 0.0;
       for (FdId f : run.graph.FdsOfCell(c)) {
-        if (run.graph.FdActive(f)) {
+        if (run.FdActive(f)) {
           marginal += 1.0 - evidence[static_cast<size_t>(f)];
         }
       }
@@ -265,11 +296,11 @@ class ReferenceCellQSums : public Strategy {
       double max_fd = 0.0;
       for (FdId f = 0; f < num_fds; ++f) {
         next_fd[static_cast<size_t>(f)] = 0.0;
-        if (!run.graph.FdActive(f)) continue;
+        if (!run.FdActive(f)) continue;
         double sum = 0.0;
         int count = 0;
         for (CellId c : run.graph.CellsOfFd(f)) {
-          if (!run.graph.CellActive(c)) continue;
+          if (!run.CellActive(c)) continue;
           sum += cell_conf[static_cast<size_t>(c)];
           ++count;
         }
@@ -290,12 +321,12 @@ class ReferenceCellQSums : public Strategy {
 
       double max_cell = 0.0;
       for (CellId c = 0; c < num_cells; ++c) {
-        if (!run.graph.CellActive(c) || pinned[static_cast<size_t>(c)]) {
+        if (!run.CellActive(c) || pinned[static_cast<size_t>(c)]) {
           continue;
         }
         double sum = 0.0;
         for (FdId f : run.graph.FdsOfCell(c)) {
-          if (run.graph.FdActive(f)) {
+          if (run.FdActive(f)) {
             sum += run.confidence[static_cast<size_t>(f)];
           }
         }
@@ -304,7 +335,7 @@ class ReferenceCellQSums : public Strategy {
       }
       if (max_cell > 0.0) {
         for (CellId c = 0; c < num_cells; ++c) {
-          if (!pinned[static_cast<size_t>(c)] && run.graph.CellActive(c)) {
+          if (!pinned[static_cast<size_t>(c)] && run.CellActive(c)) {
             cell_conf[static_cast<size_t>(c)] /= max_cell;
           }
         }

@@ -11,11 +11,12 @@ namespace uguide {
 // Full-rescan references for the shipped cell strategies: every question
 // is picked by scanning all cells, and CellQ-SUMS recomputes every node of
 // Estimate-Confidence in every iteration. They share no code with
-// core/cell_strategies.cc -- own run state, answer application and score
-// functions, written with the same floating-point expressions in the same
-// order -- so the equivalence suite and fuzz_cell_strategies can hold the
-// shipped selectors to byte-identical results. Each reports the same
-// name() as the strategy it checks.
+// core/cell_strategies.cc -- own run state, activity flags (not the
+// shipped ActiveSet), answer application and score functions, written
+// with the same floating-point expressions in the same order -- so the
+// equivalence suite and fuzz_cell_strategies can hold the shipped
+// selectors to byte-identical results. Each reports the same name() as
+// the strategy it checks.
 
 /// Cell-Q-Hitting-Set (Algorithm 2): the first askable cell of minimal
 /// weight / active degree.

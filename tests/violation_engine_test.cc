@@ -250,27 +250,14 @@ TEST(ViolationEngineTest, DetectionUnionCoveringEveryCellMatchesReference) {
 
 // --- CSR layout equivalence (DESIGN.md §14) -------------------------------
 
-// FindCell (open-addressed probe) must agree with membership in the
-// interned cell list for every cell of the relation's grid, and every
-// interned cell must resolve to its own id.
-void ExpectFindCellMatches(const ViolationGraph& g, const Relation& rel) {
+// Merge's interning table must give every distinct cell exactly one id.
+void ExpectCellsInternedOnce(const ViolationGraph& g) {
   std::vector<Cell> interned;
   interned.reserve(static_cast<size_t>(g.NumCells()));
-  for (CellId c = 0; c < g.NumCells(); ++c) {
-    EXPECT_EQ(g.FindCell(g.cell(c)), c);
-    interned.push_back(g.cell(c));
-  }
+  for (CellId c = 0; c < g.NumCells(); ++c) interned.push_back(g.cell(c));
   std::sort(interned.begin(), interned.end());
-  for (TupleId r = 0; r < rel.NumRows(); ++r) {
-    for (int a = 0; a < rel.NumAttributes(); ++a) {
-      const Cell cell{r, a};
-      const bool present =
-          std::binary_search(interned.begin(), interned.end(), cell);
-      const CellId found = g.FindCell(cell);
-      ASSERT_EQ(found >= 0, present);
-      if (found >= 0) ASSERT_EQ(g.cell(found), cell);
-    }
-  }
+  EXPECT_EQ(std::adjacent_find(interned.begin(), interned.end()),
+            interned.end());
 }
 
 TEST(ViolationGraphTest, CsrAdjacencyMatchesReferenceOnRandomRelations) {
@@ -281,8 +268,7 @@ TEST(ViolationGraphTest, CsrAdjacencyMatchesReferenceOnRandomRelations) {
     const ViolationGraph reference = BuildReferenceGraph(rel, fds);
     const ViolationGraph csr = ViolationGraph::Build(rel, fds);
     ExpectGraphsEqual(reference, csr);
-    ExpectFindCellMatches(csr, rel);
-    ExpectFindCellMatches(reference, rel);
+    ExpectCellsInternedOnce(csr);
     // The footprint is a pure function of the merged content, so both
     // build paths must report the same figure.
     EXPECT_EQ(reference.ApproxMemoryBytes(), csr.ApproxMemoryBytes());
@@ -304,59 +290,57 @@ TEST(ViolationGraphTest, ApproxMemoryBytesDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(ViolationGraphTest, ActiveDegreesMatchRescanUnderRandomDeactivation) {
-  // The incremental per-FD and per-cell active-degree counters must agree
-  // with a full adjacency rescan after every step of a randomized
-  // deactivation sequence (with repeats, so idempotence is exercised too).
+TEST(ActiveSetTest, ActiveDegreesMatchRescanUnderRandomDeactivation) {
+  // The incremental per-cell active-degree counter and the orphan cascade
+  // must agree with a full adjacency rescan after every step of a
+  // randomized deactivation sequence (with repeats, so idempotence is
+  // exercised too).
   Relation rel = MakeRandomRelation(31, 140);
   FdSet fds;
   for (const Fd& fd : EnumerateFds(rel.NumAttributes())) fds.Add(fd);
-  ViolationGraph g = ViolationGraph::Build(rel, fds);
+  const ViolationGraph g = ViolationGraph::Build(rel, fds);
   ASSERT_GT(g.NumFds(), 0);
   ASSERT_GT(g.NumCells(), 0);
-  const auto check = [&g] {
-    for (FdId f = 0; f < g.NumFds(); ++f) {
-      int rescan = 0;
-      if (g.FdActive(f)) {
-        for (CellId c : g.CellsOfFd(f)) {
-          if (g.CellActive(c)) ++rescan;
-        }
-      }
-      ASSERT_EQ(g.ActiveDegreeOfFd(f), rescan) << "fd " << f;
-    }
+  ActiveSet active(g);
+  std::vector<bool> certified_clean(static_cast<size_t>(g.NumCells()), false);
+  const auto check = [&] {
     for (CellId c = 0; c < g.NumCells(); ++c) {
       int rescan = 0;
-      if (g.CellActive(c)) {
-        for (FdId f : g.FdsOfCell(c)) {
-          if (g.FdActive(f)) ++rescan;
-        }
+      for (FdId f : g.FdsOfCell(c)) {
+        if (active.FdActive(f)) ++rescan;
       }
-      ASSERT_EQ(g.ActiveDegreeOfCell(c), rescan) << "cell " << c;
+      if (certified_clean[static_cast<size_t>(c)]) rescan = 0;
+      ASSERT_EQ(active.CellActive(c), rescan > 0) << "cell " << c;
+      ASSERT_EQ(active.ActiveDegreeOfCell(c), rescan) << "cell " << c;
     }
   };
   check();
   Rng rng(77);
   for (int step = 0; step < 200; ++step) {
     if (rng.NextBounded(2) == 0) {
-      g.DeactivateFd(
-          static_cast<FdId>(rng.NextBounded(static_cast<uint64_t>(g.NumFds()))));
+      active.DeactivateFd(static_cast<FdId>(
+          rng.NextBounded(static_cast<uint64_t>(g.NumFds()))));
     } else {
-      g.DeactivateCell(static_cast<CellId>(
-          rng.NextBounded(static_cast<uint64_t>(g.NumCells()))));
+      const CellId c = static_cast<CellId>(
+          rng.NextBounded(static_cast<uint64_t>(g.NumCells())));
+      active.DeactivateCell(c);
+      certified_clean[static_cast<size_t>(c)] = true;
     }
     check();
   }
   // Active id enumeration must agree with the flags (word-scan check).
-  std::vector<FdId> expected_fds;
+  std::vector<FdId> expected_fds, scanned_fds;
   for (FdId f = 0; f < g.NumFds(); ++f) {
-    if (g.FdActive(f)) expected_fds.push_back(f);
+    if (active.FdActive(f)) expected_fds.push_back(f);
   }
-  EXPECT_EQ(g.ActiveFds(), expected_fds);
-  std::vector<CellId> expected_cells;
+  active.ForEachActiveFd([&](FdId f) { scanned_fds.push_back(f); });
+  EXPECT_EQ(scanned_fds, expected_fds);
+  std::vector<CellId> expected_cells, scanned_cells;
   for (CellId c = 0; c < g.NumCells(); ++c) {
-    if (g.CellActive(c)) expected_cells.push_back(c);
+    if (active.CellActive(c)) expected_cells.push_back(c);
   }
-  EXPECT_EQ(g.ActiveCells(), expected_cells);
+  active.ForEachActiveCell([&](CellId c) { scanned_cells.push_back(c); });
+  EXPECT_EQ(scanned_cells, expected_cells);
 }
 
 TEST(ViolationGraphTest, ParallelBuildBitIdenticalAcrossThreadCounts) {

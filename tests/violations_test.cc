@@ -134,57 +134,57 @@ TEST(ViolationGraphTest, SharedCellHasTwoFds) {
       {"zip", "area", "city"},
       {{"1", "a", "ny"}, {"1", "a", "ny"}, {"1", "a", "boston"}});
   // Both zip->city and area->city flag the same three cells.
-  ViolationGraph g =
+  const ViolationGraph g =
       ViolationGraph::Build(rel, FdSet({Fd({0}, 2), Fd({1}, 2)}));
+  const ActiveSet active(g);
   ASSERT_EQ(g.NumCells(), 3);
   for (CellId c = 0; c < g.NumCells(); ++c) {
     EXPECT_EQ(g.FdsOfCell(c).size(), 2u);
-    EXPECT_EQ(g.ActiveDegreeOfCell(c), 2);
+    EXPECT_EQ(active.ActiveDegreeOfCell(c), 2);
   }
 }
 
-TEST(ViolationGraphTest, DeactivateFdCascadesToOrphanCells) {
+TEST(ActiveSetTest, DeactivateFdCascadesToOrphanCells) {
   Relation rel = MakeRelation(
       {"zip", "area", "city"},
       {{"1", "a", "ny"}, {"1", "a", "ny"}, {"1", "b", "boston"}});
   // zip->city flags its impure class; area->city flags nothing (area
   // splits the groups into pure classes).
-  ViolationGraph g =
+  const ViolationGraph g =
       ViolationGraph::Build(rel, FdSet({Fd({0}, 2), Fd({1}, 2)}));
+  ActiveSet active(g);
   ASSERT_EQ(g.NumCells(), 3);
-  EXPECT_TRUE(g.CellActive(0));
-  g.DeactivateFd(0);
-  EXPECT_FALSE(g.FdActive(0));
+  EXPECT_TRUE(active.CellActive(0));
+  active.DeactivateFd(0);
+  EXPECT_FALSE(active.FdActive(0));
   for (CellId c = 0; c < g.NumCells(); ++c) {
-    EXPECT_FALSE(g.CellActive(c));  // all orphaned
+    EXPECT_FALSE(active.CellActive(c));  // all orphaned
   }
-  EXPECT_EQ(g.ActiveFds(), std::vector<FdId>{1});
-  EXPECT_TRUE(g.ActiveCells().empty());
+  std::vector<FdId> active_fds;
+  active.ForEachActiveFd([&](FdId f) { active_fds.push_back(f); });
+  EXPECT_EQ(active_fds, std::vector<FdId>{1});
+  active.ForEachActiveCell([](CellId c) { ADD_FAILURE() << "cell " << c; });
 }
 
-TEST(ViolationGraphTest, DeactivateFdKeepsSharedCells) {
+TEST(ActiveSetTest, DeactivateFdKeepsSharedCells) {
   Relation rel = MakeRelation(
       {"zip", "area", "city"},
       {{"1", "a", "ny"}, {"1", "a", "ny"}, {"1", "a", "boston"}});
-  ViolationGraph g =
+  const ViolationGraph g =
       ViolationGraph::Build(rel, FdSet({Fd({0}, 2), Fd({1}, 2)}));
-  g.DeactivateFd(0);
-  EXPECT_TRUE(g.CellActive(0));  // still flagged by area->city
-  EXPECT_EQ(g.ActiveDegreeOfCell(0), 1);
+  ActiveSet active(g);
+  active.DeactivateFd(0);
+  EXPECT_TRUE(active.CellActive(0));  // still flagged by area->city
+  EXPECT_EQ(active.ActiveDegreeOfCell(0), 1);
 }
 
-TEST(ViolationGraphTest, FindCell) {
-  ViolationGraph g = SmallGraph();
-  EXPECT_GE(g.FindCell(Cell{2, 1}), 0);
-  EXPECT_EQ(g.FindCell(Cell{0, 0}), -1);
-}
-
-TEST(ViolationGraphTest, DeactivateCellIsIdempotent) {
-  ViolationGraph g = SmallGraph();
-  g.DeactivateCell(0);
-  g.DeactivateCell(0);
-  EXPECT_FALSE(g.CellActive(0));
-  EXPECT_EQ(g.ActiveDegreeOfCell(0), 0);
+TEST(ActiveSetTest, DeactivateCellIsIdempotent) {
+  const ViolationGraph g = SmallGraph();
+  ActiveSet active(g);
+  active.DeactivateCell(0);
+  active.DeactivateCell(0);
+  EXPECT_FALSE(active.CellActive(0));
+  EXPECT_EQ(active.ActiveDegreeOfCell(0), 0);
 }
 
 }  // namespace
