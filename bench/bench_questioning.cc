@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark) for the interactive questioning path:
 // violation-graph construction (hash-grouping baseline vs the shared
 // partition-backed engine, serial and parallel), per-question selection for
-// the cell strategies (heap selectors / change-propagating SUMS vs the
+// the cell strategies (heap selectors / heap-selected SUMS vs the
 // test-only full-rescan references), and end-to-end sessions across
-// strategies and thread counts. Emits BENCH_questioning.json; the engine benches carry the
-// partition-cache hit/miss counters the CI bench-smoke job asserts on.
+// strategies and thread counts. Writes BENCH_questioning.fresh.json, which
+// tools/check_questioning_regression.py compares with the checked-in
+// BENCH_questioning.json; the engine benches carry the partition-cache
+// hit/miss counters the CI bench-smoke job asserts on.
 
 #include <benchmark/benchmark.h>
 
@@ -377,6 +379,18 @@ void BM_CellQHittingSetTaxReference(benchmark::State& state) {
 }
 BENCHMARK(BM_CellQHittingSetTaxReference)->Unit(benchmark::kMillisecond);
 
+// Tax@5000 SUMS: a dense graph, where most cells change in every fixpoint
+// iteration and the fallback order carries most of the budget.
+void BM_CellQSumsTaxIncremental(benchmark::State& state) {
+  RunCellStrategyBench(state, TaxSession(), "sums", /*incremental=*/true);
+}
+BENCHMARK(BM_CellQSumsTaxIncremental)->Unit(benchmark::kMillisecond);
+
+void BM_CellQSumsTaxReference(benchmark::State& state) {
+  RunCellStrategyBench(state, TaxSession(), "sums", /*incremental=*/false);
+}
+BENCHMARK(BM_CellQSumsTaxReference)->Unit(benchmark::kMillisecond);
+
 void BM_CellQGreedyIncremental(benchmark::State& state) {
   RunCellStrategyBench(state, HospitalSession(1), "greedy", /*incremental=*/true);
 }
@@ -397,9 +411,10 @@ void BM_CellQSumsReference(benchmark::State& state) {
 }
 BENCHMARK(BM_CellQSumsReference)->Unit(benchmark::kMillisecond);
 
-// Per-answer recomputation (interval 1): the regime the incremental
-// fixpoint targets — most of the graph is clean between calls, so the
-// changed-neighborhood iteration skips nearly all adjacency sums.
+// Per-answer recomputation (interval 1): every answer but an idk runs
+// Estimate-Confidence, so both sides pay the fixpoint's plain passes per
+// question; the shipped path saves the rescan selection (a heap reseeded
+// from the open FDs' cells, the fallback order kept in the same heap).
 void BM_CellQSumsTightIncremental(benchmark::State& state) {
   RunCellStrategyBench(state, HospitalSession(1), "sums", /*incremental=*/true,
                        /*sums_interval=*/1);
@@ -456,11 +471,13 @@ BENCHMARK(BM_SessionTupleSamplingViolation)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 // Custom main instead of BENCHMARK_MAIN(): default to machine-readable
 // JSON alongside the console table so CI's bench-smoke job and scaling
-// tooling can diff runs without scraping text. Any caller-provided
+// tooling can diff runs without scraping text. The default file is
+// BENCH_questioning.fresh.json, so a run from the repository root never
+// overwrites the checked-in baseline. Any caller-provided
 // --benchmark_out= wins; console output is unchanged either way.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
-  std::string out_flag = "--benchmark_out=BENCH_questioning.json";
+  std::string out_flag = "--benchmark_out=BENCH_questioning.fresh.json";
   std::string fmt_flag = "--benchmark_out_format=json";
   bool has_out = false;
   for (int i = 1; i < argc; ++i) {

@@ -46,7 +46,8 @@ std::unique_ptr<Strategy> MakeCellQHittingSet(
 
 /// Cell-Q-SUMS (Algorithms 3-4): truth-discovery confidence propagation
 /// between FDs and violations; asks the highest-information (uncertain,
-/// high-degree) violation each round.
+/// high-degree) violation each round. Checks that `initial_confidence` lies in
+/// [0, 1] and `delta` >= 0: its evidence must stay in [0, 1] and never fall.
 std::unique_ptr<Strategy> MakeCellQSums(
     const CellStrategyOptions& options = {});
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/cell_strategies.h"
 #include "core/session.h"
 #include "fd/closure.h"
@@ -115,6 +117,33 @@ TEST(CellStrategyTest, SumsConfidenceThresholdFiltersFds) {
   SessionReport lax_report = session.Run(*lax_strategy, 100.0);
   EXPECT_LE(strict_report.result.accepted_fds.Size(),
             lax_report.result.accepted_fds.Size());
+}
+
+TEST(CellStrategyDeathTest, SumsRejectsEvidenceThatCouldLeaveTheUnitRange) {
+  // SUMS's fallback order holds only while evidence never falls and never
+  // exceeds 1, so the factory refuses options that break either, naming
+  // the option.
+  CellStrategyOptions above;
+  above.initial_confidence = 1.5;
+  EXPECT_DEATH(MakeCellQSums(above), "initial_confidence");
+  CellStrategyOptions below;
+  below.initial_confidence = -0.1;
+  EXPECT_DEATH(MakeCellQSums(below), "initial_confidence");
+  CellStrategyOptions nan;
+  nan.initial_confidence = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(MakeCellQSums(nan), "initial_confidence");
+  CellStrategyOptions shrinking;
+  shrinking.delta = -0.1;
+  EXPECT_DEATH(MakeCellQSums(shrinking), "delta");
+}
+
+TEST(CellStrategyTest, SumsAcceptsTheUnitRangeBounds) {
+  CellStrategyOptions options;
+  options.initial_confidence = 0.0;
+  options.delta = 0.0;
+  EXPECT_NE(MakeCellQSums(options), nullptr);
+  options.initial_confidence = 1.0;
+  EXPECT_NE(MakeCellQSums(options), nullptr);
 }
 
 TEST(CellStrategyTest, TrueFdsAlwaysSurviveQuestioning) {

@@ -375,7 +375,7 @@ void ExpectReportsEqual(const SessionReport& a, const SessionReport& b) {
 }
 
 TEST(IncrementalSelectionTest, CellStrategiesMatchRescanReference) {
-  // The lazy heaps (HS / Greedy) and the change-propagating SUMS fixpoint
+  // The lazy heaps (HS / Greedy) and SUMS's plain fixpoint and heap
   // must ask the same questions — hence produce byte-identical reports —
   // as the O(NumCells)-rescan references, including under IDK
   // answers (which change no state and re-select).
@@ -404,8 +404,8 @@ TEST(IncrementalSelectionTest, CellStrategiesMatchRescanReference) {
 
 TEST(IncrementalSelectionTest, SumsMatchesReferenceAtTightRecompute) {
   // Recomputing the fixpoint after every answer maximizes the number of
-  // change-propagating Estimate-Confidence invocations (the hardest
-  // schedule for staleness propagation).
+  // Estimate-Confidence invocations and heap reseeds, and every question
+  // is the first Best after a Rebuild (the heap's unordered scan).
   Session session = testing::MakeHospitalSession(500);
   CellStrategyOptions options;
   options.sums_recompute_interval = 1;
@@ -417,7 +417,8 @@ TEST(IncrementalSelectionTest, SumsMatchesReferenceAtTightRecompute) {
 TEST(IncrementalSelectionTest, SumsMatchesReferenceUntilEveryCellIsAsked) {
   // A budget no session can spend: the run only ends when no askable cell
   // is left, so evidence saturates, selection falls back to the
-  // lowest-confidence scan, and both strategies drain the graph to the end.
+  // lowest-confidence order, and both strategies drain the graph to the
+  // end.
   // The session is small so the rescan reference can drain it quickly.
   const double budget = 1e9;
   for (double idk : {0.0, 0.25}) {
